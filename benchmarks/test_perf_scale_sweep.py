@@ -16,6 +16,8 @@ Every sweep point is recorded into ``BENCH_engine.json`` so the events/sec
 trajectory is comparable across PRs.
 """
 
+import hashlib
+
 from conftest import BENCH_SCALE
 
 from repro.experiments.evaluation_dd import run_gpu_strategy
@@ -25,6 +27,7 @@ from repro.experiments.workloads import ExperimentScale, make_gpu_groups
 from repro.ml.data.imagenet import mini_imagenet_epoch
 from repro.ml.models.cost_models import MOBILENET_V1
 from repro.perf import PerfReporter, Stopwatch
+from repro.scenarios.fingerprint import series_digest
 
 #: Worker counts swept (6 = seed bench scale, 120 = two orders of magnitude
 #: beyond the paper-reproduction seed's largest benchmark).
@@ -103,6 +106,26 @@ def test_perf_scale_sweep():
 #: the tens of seconds on CI is still healthy, minutes is a regression.
 ND_1000W_BUDGET_S = 60.0
 
+#: Deterministic counters of the 1000-worker run (seed 0), which do not
+#: depend on machine load.  The logical event count and the worker-series
+#: digest are the values the run produced before the columnar fan-out and
+#: the idle-poll cohorts, which must not change them.  The physical ceiling
+#: holds the heap traffic those two fast paths removed (0.96M pops before).
+ND_1000W_LOGICAL_EVENTS = 4_834_110
+ND_1000W_PHYSICAL_CEILING = 350_000
+ND_1000W_WORKER_DIGEST = "a9c9f12837636c00"
+
+
+def worker_series_digest(metrics) -> str:
+    """One digest over every worker's bpt, batch-size and sample series."""
+    hasher = hashlib.sha256()
+    for tag in sorted(metrics.tags("bpt")):
+        for name in ("bpt", "batch_size", "iteration_samples"):
+            series = metrics.series(name, tag)
+            digest = series_digest(series.times(), series.values())
+            hasher.update(f"{name}/{tag}:{digest};".encode())
+    return hasher.hexdigest()[:16]
+
 
 def test_perf_scale_sweep_1000w():
     """A 1000-worker ND run completes in single-digit seconds (generous CI budget).
@@ -125,6 +148,9 @@ def test_perf_scale_sweep_1000w():
     events = nd.engine_events_processed
     eps = events / wall if wall > 0 else float("inf")
     assert eps > 100_000.0
+    assert events == ND_1000W_LOGICAL_EVENTS
+    assert nd.engine_events_physical < ND_1000W_PHYSICAL_CEILING
+    assert worker_series_digest(nd.metrics) == ND_1000W_WORKER_DIGEST
 
     reporter = PerfReporter()
     reporter.add("sweep_nd_1000w", wall_s=wall, events_processed=float(events),

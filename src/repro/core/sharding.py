@@ -73,8 +73,20 @@ class DataAllocator:
 
     @property
     def has_assignable_work(self) -> bool:
-        """True when a call to :meth:`next_range` could currently return data."""
-        raise NotImplementedError
+        """True when :meth:`next_range` could hand data to a worker holding none.
+
+        Idle workers park their data polls in a shared cohort only while
+        this is False (see :class:`~repro.sim.engine.PollCohorts`); the
+        conservative default keeps every poll a real ``next_range`` call.
+        """
+        return True
+
+    def record_idle_polls(self, count: int) -> None:
+        """Apply ``count`` consecutive :meth:`next_range` calls that found no data.
+
+        Called for parked idle pollers instead of the calls themselves, and
+        only while :attr:`has_assignable_work` is False.
+        """
 
     def consumed_counts(self) -> Dict[str, int]:
         """Samples confirmed per worker (paper Fig. 3 / Fig. 16)."""
@@ -209,10 +221,20 @@ class StatefulDDS(DataAllocator):
 
     @property
     def has_assignable_work(self) -> bool:
-        return bool(self._queue) or any(
-            shard_id is not None and self._remaining_to_dispatch(shard_id) > 0
-            for shard_id in self._current_shard.values()
-        )
+        # Every queued shard is TODO and every TODO shard is queued: shards
+        # enter the queue as TODO (new epoch, failover release) and leave it
+        # only through _acquire_shard, which assigns them.
+        return bool(self._queue)
+
+    def record_idle_polls(self, count: int) -> None:
+        # Each failed fetch is one charged round trip.  The ledger is a float
+        # sum, so the charges are added one by one, as the calls would.
+        total = self._total_overhead
+        cost = self.op_cost_s
+        for _ in range(count):
+            total += cost
+        self._total_overhead = total
+        self.last_op_cost_s = cost
 
     @property
     def total_overhead_s(self) -> float:
@@ -445,10 +467,6 @@ class StaticPartition(DataAllocator):
     @property
     def exhausted(self) -> bool:
         return all(self._worker_done(worker) for worker in self.workers)
-
-    @property
-    def has_assignable_work(self) -> bool:
-        return not self.exhausted
 
     def _worker_done(self, worker: str) -> bool:
         start, end = self._bounds[worker]

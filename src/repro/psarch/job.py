@@ -10,8 +10,10 @@ can kill/relaunch its nodes and reconfigure backup workers.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional
+from itertools import repeat
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from ..elastic.membership import (
 from ..elastic.resharding import MigrationCostModel, ReshardEvent, ServerShardMap
 from ..obs.recorder import NULL_RECORDER
 from ..sim.cluster import Cluster, Node, NodeRole, NodeStatus
-from ..sim.engine import Environment
+from ..sim.engine import Environment, Event, PollCohorts
 from ..sim.failures import ErrorCode, NodeFailure
 from ..sim.metrics import MetricsRecorder
 from ..sim.scheduler import ClusterScheduler, PendingTimeModel
@@ -110,6 +112,50 @@ class PSRunResult:
         if self.job_completion_time_s <= 0:
             return 0.0
         return self.framework_overhead_s / self.job_completion_time_s
+
+
+def _positions(values: List, target) -> Iterator[int]:
+    """Indices of ``target`` in ``values``, in order.
+
+    Found by C-level scans (``list.count``, ``list.index``): the fan-out
+    looks for the few servers that open a window or report among hundreds.
+    """
+    index = -1
+    for _ in range(values.count(target)):
+        index = values.index(target, index + 1)
+        yield index
+
+
+class _FanoutTargets:
+    """What :meth:`PSTrainingJob.push_fanout` reuses across calls to one target list.
+
+    ``push_targets()`` rebuilds its list object on every membership change,
+    so list identity (and the per-server push size) validates the cache.
+    A server's per-request overhead is fixed for its lifetime, so the
+    handling time of each target is too.
+    """
+
+    __slots__ = ("targets", "nbytes", "idx", "handlings", "handlings_l",
+                 "times", "values", "requests", "base", "window_rows")
+
+    def __init__(self, targets: List[ParameterServer], nbytes: float,
+                 state: ServerStateArrays, per_byte_cost_s: float) -> None:
+        self.targets = targets
+        self.nbytes = nbytes
+        self.idx = np.fromiter((server._slot for server in targets),
+                               dtype=np.intp, count=len(targets))
+        self.handlings = state.overhead[self.idx] + per_byte_cost_s * nbytes
+        self.handlings_l = self.handlings.tolist()
+        buffers = [server._bpt_series.buffers() for server in targets]
+        self.times = [times for times, _ in buffers]
+        self.values = [values for _, values in buffers]
+        self.requests = [state.plan_requests[server._slot] for server in targets]
+        self.rebase(state)
+
+    def rebase(self, state: ServerStateArrays) -> None:
+        """Re-read the targets' first block positions after the blocks grew."""
+        self.base = state.plan_base[self.idx]
+        self.window_rows = state.window_rows
 
 
 class PSTrainingJob:
@@ -280,6 +326,12 @@ class PSTrainingJob:
             worker.node.add_status_listener(self._on_worker_status_change)
         # Cached series handle for the per-confirmation progress curve.
         self._samples_done_series = self.metrics.series("samples_done")
+        # Workers that found no data poll again every data_poll_interval_s;
+        # with coalescing on, polls that would find nothing share cohorts.
+        self._idle_polls = (
+            PollCohorts(env, config.data_poll_interval_s,
+                        self._first_acting_poll, allocator.record_idle_polls)
+            if env.coalesce else None)
 
     def _on_worker_status_change(self, _node) -> None:
         self._active_worker_count = None
@@ -313,6 +365,37 @@ class PSTrainingJob:
             fraction = 1.0 / active if self._bsp else min(1.0, 2.0 / active)
             self._server_fraction = fraction
         return fraction
+
+    def park_idle_poll(self, agent) -> Event:
+        """What a worker that found no data waits on until its next poll.
+
+        A plain ``data_poll_interval_s`` timeout, or with coalescing on a
+        place in a :class:`~repro.sim.engine.PollCohorts` cohort: the worker
+        then resumes only when its poll would act (see
+        :meth:`_first_acting_poll`), and the cohort applies its no-op polls.
+        """
+        cohorts = self._idle_polls
+        if cohorts is None or self.allocator.has_assignable_work:
+            return self.env.timeout(self.config.data_poll_interval_s)
+        return cohorts.park(agent)
+
+    def _first_acting_poll(self, agents: List, start: int) -> int:
+        """Index of the first parked worker at or after ``start`` whose poll acts.
+
+        A poll acts when the job completed, the allocator has data for a
+        worker holding none or ran dry, or an action was broadcast since the
+        worker (identified by its agent) last polled.  Otherwise it would
+        only charge one failed fetch.  Returns ``len(agents)`` when no poll
+        would act.
+        """
+        allocator = self.allocator
+        if self.completed or allocator.has_assignable_work or allocator.exhausted:
+            return start
+        generation = self.agent_group.generation
+        for index in range(start, len(agents)):
+            if agents[index].applied_generation != generation:
+                return index
+        return len(agents)
 
     def notify_progress(self, num_samples: int, time: float) -> None:
         """Called by workers when a sample range is confirmed."""
@@ -633,9 +716,11 @@ class PSTrainingJob:
         empty queue with null contention — makes each per-server
         acknowledgement an affine function of that server's chain tail.  This
         commits all S requests of one iteration with a handful of numpy
-        operations over :class:`ServerStateArrays` plus one tight Python loop
-        for the bookkeeping each server owns (plan entry, series append,
-        periodic report), then arms the shared latch once with
+        operations over :class:`ServerStateArrays`: one scatter per window
+        column writes every server's entry.  Python runs only for the few
+        servers that open a window or report on this call, and the
+        ``server_bpt`` points go in with one C-level bulk append per column.
+        The shared latch is armed once with
         :meth:`CountdownEvent.count_down_many_at
         <repro.sim.engine.CountdownEvent.count_down_many_at>`.
 
@@ -646,52 +731,47 @@ class PSTrainingJob:
         """
         state = self.server_state
         cache = self._fanout_cache
-        if cache is None or cache[0] is not targets:
-            # push_targets() rebuilds its list object on every membership
-            # change, so list identity doubles as cache validation.
-            idx = np.fromiter((server._slot for server in targets),
-                              dtype=np.intp, count=len(targets))
-            hot = [(server, server.agent, *server._bpt_series.buffers())
-                   for server in targets]
-            cache = self._fanout_cache = (targets, idx, hot)
-        _, idx, hot = cache
-        if not state.eligible[idx].all():
+        if cache is None or cache.targets is not targets or cache.nbytes != nbytes:
+            cache = self._fanout_cache = _FanoutTargets(
+                targets, nbytes, state, self.config.server_per_byte_cost_s)
+        idx = cache.idx
+        # The eligibility flags as bytes: one memchr finds a busy target.
+        if b"\0" in state.eligible[idx].tobytes():
             return False
         env = self.env
         now = env._now
         # Acknowledgement closed form, all servers at once.  Each numpy op
         # is elementwise over independent slots, so the arithmetic per slot
         # is the same sequence of scalar operations submit() performs.
-        starts = np.maximum(state.chain_tail[idx], now)
-        handlings = state.overhead[idx] + self.config.server_per_byte_cost_s * nbytes
-        acks = starts + handlings
+        handlings = cache.handlings
+        acks = np.maximum(state.chain_tail[idx], now) + handlings
         state.chain_tail[idx] = acks
         handled = state.handled[idx] + 1
         state.handled[idx] = handled
-        stride = self.active_worker_count() or 1
-        reported_mask = (handled % stride == 0).tolist()
-        starts_l = starts.tolist()
+        state.reserve()
+        if cache.window_rows != state.window_rows:
+            cache.rebase(state)
+        at = state.plan_end[idx]
+        state.append_rows(idx, at, acks, handlings)
+        request = PushRequest(worker, nbytes, latch, now)
+        deque(map(list.append, cache.requests, repeat(request, len(targets))), 0)
         acks_l = acks.tolist()
-        handlings_l = handlings.tolist()
-        request = PushRequest(worker=worker, nbytes=nbytes, done=latch,
-                              submitted_at=now)
-        handled_l = handled.tolist()
-        for (server, agent, times, values), start, ack, handling, reported, count \
-                in zip(hot, starts_l, acks_l, handlings_l, reported_mask, handled_l):
-            plan = server._plan
-            if plan is None:
-                plan = server._open_plan(ack, count - 1)
-            if reported:
-                agent.report_server_request(handling, ack)
-                if agent._iterations_since_report == 0:
-                    plan.flushes += 1
-            plan.entries.append((request, start, ack, handling,
-                                 True, True, None, reported))
-            plan.coalesced_logged += 1
-            times.append(ack)
-            values.append(handling)
+        handlings_l = cache.handlings_l
+        # Windows open first, in target order (each schedules its wake-up),
+        # so each snapshots its server's series and agent before this push.
+        for j in _positions((at == cache.base).tolist(), True):
+            targets[j]._open_plan(acks_l[j], int(handled[j]) - 1)
+        # Each request's point goes in before its report, whose flushed mean
+        # lands in the same series — the order every other commit path has.
+        deque(map(list.append, cache.times, acks_l), 0)
+        deque(map(list.append, cache.values, handlings_l), 0)
+        reporting = (handled % (self.active_worker_count() or 1) == 0).tolist()
+        for j in _positions(reporting, True):
+            server = targets[j]
+            server._report(server._plan, int(at[j] - cache.base[j]),
+                           handlings_l[j], acks_l[j])
         latch.count_down_many_at(acks_l)
-        env.coalesced_count += len(hot)
+        env.coalesced_count += len(targets)
         return True
 
     def configure_elastic_servers(self, min_servers: int = 1,
@@ -1013,10 +1093,7 @@ class PSTrainingJob:
         self._recovering_servers.add(name)
         self._push_targets = None
         pending = list(undelivered)
-        items = server.queue.items
-        if items:
-            pending.extend(items)
-            items.clear()
+        pending.extend(server.queue.drain())
         rerouted = [request for request in pending
                     if not request.done.triggered
                     and self._worker_requeue_ok(request.worker)]

@@ -41,7 +41,7 @@ suite pins coalesced and uncoalesced execution to byte-identical traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -67,40 +67,41 @@ class PushRequest:
     submitted_at: float = 0.0
 
 
-# One request inside a committed coalesced window, as a plain tuple — plan
-# entries are created once per push request across the whole fleet, and a
-# tuple build is several times cheaper than a (slotted) dataclass:
-#   (request, start, ack, handling, is_latch, contributed, done_id, reported)
-# * start:    when handling begins (the previous entry's acknowledgement).
-# * ack:      when the acknowledgement takes effect.
-# * is_latch: whether ``done`` is a shared CountdownEvent (vs private Event).
-# * contributed: whether a latch contribution was actually recorded (False
-#   for latches already abandoned when the window was committed).
-# * done_id:  heap entry id of a private acknowledgement, for rescinding.
-# * reported: whether the periodic agent report fired for this request —
-#   recorded so a rollback replays delivered entries with the stride
-#   decision made at commit time, not the stride in effect at rollback time.
-(_E_REQUEST, _E_START, _E_ACK, _E_HANDLING,
- _E_IS_LATCH, _E_CONTRIBUTED, _E_DONE_ID, _E_REPORTED) = range(8)
-
-
 class ServerStateArrays:
-    """Per-server scalar serving state for a whole job, as numpy arrays.
+    """Per-server serving state for a whole job, as numpy arrays.
 
     The columnar twin of :class:`~repro.psarch.worker.WorkerStateArrays`,
     owned by the job with one slot per server ever admitted.  Keeping the
-    acknowledgement chain tail, the handled-request counter and the
-    per-request overhead columnar lets the job commit one worker's whole
-    push fan-out — one request per server — as a handful of vectorized
-    array operations (:meth:`PSTrainingJob.push_fanout
+    acknowledgement chain tail, the handled-request counter, the
+    per-request overhead and the open coalesced windows columnar lets the
+    job commit one worker's whole push fan-out — one request per server —
+    as a handful of vectorized array operations (:meth:`PSTrainingJob.push_fanout
     <repro.psarch.job.PSTrainingJob.push_fanout>`) instead of S scalar
     ``submit`` calls.
+
+    The entries of each slot's open window live in flat column blocks of
+    ``window_rows`` rows per slot: entry ``r`` of slot ``s`` sits at
+    position ``plan_base[s] + r`` (``s * window_rows + r``), and the live
+    entries end at ``plan_end[s]``, which is ``plan_base[s]`` while no
+    window is open.  The columns are the entry's acknowledgement time and its handling time.
+    An entry's handling starts at the previous entry's acknowledgement (or
+    at its commit instant, never in the future, for the first one), so the
+    ack column also tells which entries have not started.  The requests
+    themselves sit in one list per slot (``plan_requests``), in the same
+    order: lists keep them visible to the cycle collector, which cannot see
+    into numpy object arrays.  The rare per-entry facts (a report fired, a
+    private acknowledgement event) live on the window's plan.  A window's
+    rows are reused once it closes, so the blocks are sized by the longest
+    open window, not by the run.
 
     Slots are append-only: a departed server's slot keeps its final values,
     and elastic joins extend the arrays.
     """
 
     _FIELDS = ("chain_tail", "handled", "overhead", "eligible")
+    _COLUMNS = ("plan_ack", "plan_handling")
+    #: Rows per slot before the first growth (doubled as windows need).
+    _INITIAL_WINDOW_ROWS = 64
 
     def __init__(self, capacity: int = 0) -> None:
         capacity = max(int(capacity), 4)
@@ -109,12 +110,23 @@ class ServerStateArrays:
         self.chain_tail = np.zeros(capacity, dtype=np.float64)
         #: Requests handled (committed), the report-stride counter.
         self.handled = np.zeros(capacity, dtype=np.int64)
-        #: Per-request base overhead of the node's device.
+        #: Per-request base overhead of the node's device (fixed per slot).
         self.overhead = np.zeros(capacity, dtype=np.float64)
         #: Whether the slot accepts vectorized eager commits right now:
         #: the server is parked on an empty queue, coalescing is on, and
         #: its contention model is null (affine handling times).
         self.eligible = np.zeros(capacity, dtype=bool)
+        self.window_rows = self._INITIAL_WINDOW_ROWS
+        cells = capacity * self.window_rows
+        self.plan_ack = np.zeros(cells, dtype=np.float64)
+        self.plan_handling = np.zeros(cells, dtype=np.float64)
+        self.plan_base = np.arange(capacity, dtype=np.int64) * self.window_rows
+        self.plan_end = self.plan_base.copy()
+        self.plan_requests: List[List[PushRequest]] = []
+        # Upper bound on every window's length, kept without a reduction
+        # per commit: it only grows until it reaches window_rows, and is
+        # then recomputed exactly.
+        self._longest = 0
         self._size = 0
 
     def __len__(self) -> int:
@@ -131,8 +143,49 @@ class ServerStateArrays:
                 extended = np.zeros(grown, dtype=array.dtype)
                 extended[:capacity] = array
                 setattr(self, name, extended)
+            self._resize_blocks(grown, self.window_rows)
+        self.plan_requests.append([])
         self._size = slot + 1
         return slot
+
+    def _resize_blocks(self, new_slots: int, new_rows: int) -> None:
+        """Re-lay the window blocks for ``new_slots`` slots of ``new_rows`` rows."""
+        slots = len(self.plan_base)
+        rows = self.window_rows
+        for name in self._COLUMNS:
+            block = getattr(self, name)
+            grown = np.zeros((new_slots, new_rows), dtype=block.dtype)
+            grown[:slots, :rows] = block.reshape(slots, rows)
+            setattr(self, name, grown.reshape(-1))
+        lengths = self.plan_end - self.plan_base
+        self.window_rows = new_rows
+        self.plan_base = np.arange(new_slots, dtype=np.int64) * new_rows
+        self.plan_end = self.plan_base.copy()
+        self.plan_end[:slots] += lengths
+
+    def reserve(self) -> None:
+        """Make room for one more entry in every slot's window."""
+        if self._longest >= self.window_rows:
+            self._longest = int((self.plan_end - self.plan_base).max())
+            if self._longest >= self.window_rows:
+                self._resize_blocks(len(self.plan_base), 2 * self.window_rows)
+        self._longest += 1
+
+    def append_rows(self, slots, at, acks, handlings) -> None:
+        """Write one window entry per slot, at block position ``at``.
+
+        The one commit routine of every coalesced window: the fan-out passes
+        arrays (one scatter per column), scalar commits pass scalars.
+        ``at`` is the slot's ``plan_end``, read after :meth:`reserve`; the
+        caller appends the request to the slot's ``plan_requests`` list.
+        """
+        self.plan_ack[at] = acks
+        self.plan_handling[at] = handlings
+        self.plan_end[slots] = at + 1
+
+    def window(self, slot: int) -> slice:
+        """Block positions of the entries in ``slot``'s open window."""
+        return slice(int(self.plan_base[slot]), int(self.plan_end[slot]))
 
     def total_requests_handled(self) -> int:
         """Requests handled across every slot (vectorized)."""
@@ -142,19 +195,29 @@ class ServerStateArrays:
 class _BatchPlan:
     """Bookkeeping for one committed coalesced window.
 
-    Holds the entry tuples in acknowledgement order plus the pre-window
-    snapshot of every observable the commits touched, so the window can be
-    rolled back and its delivered prefix replayed deterministically.
+    The entries themselves live in the job's :class:`ServerStateArrays`
+    blocks; the plan holds the pre-window snapshot of every observable the
+    commits touched, so the window can be rolled back and its delivered
+    prefix replayed deterministically.
     """
 
-    __slots__ = ("entries", "wake", "wake_id", "handled_before",
+    __slots__ = ("private", "reported", "wake", "wake_id", "handled_before",
                  "series_len_before", "agent_state", "flushes",
-                 "coalesced_logged", "origin_physical")
+                 "origin_physical")
 
     def __init__(self, handled_before: int, series_len_before: int,
                  agent_state: Tuple[List[float], int, int],
                  origin_physical: int) -> None:
-        self.entries: List[tuple] = []
+        #: Rows whose acknowledgement is not a contribution to a shared
+        #: latch, mapped to the heap id of their private acknowledgement
+        #: event, or to None when nothing was published (the event had
+        #: already triggered, or the latch was abandoned).  A rollback
+        #: rescinds every other row's latch contribution.
+        self.private: Dict[int, Optional[int]] = {}
+        #: Rows whose periodic agent report fired, recorded so a rollback
+        #: replays delivered entries with the stride decision made at
+        #: commit time, not the stride in effect at rollback time.
+        self.reported: Set[int] = set()
         self.wake: Optional[Event] = None
         self.wake_id = -1
         self.handled_before = handled_before
@@ -164,14 +227,13 @@ class _BatchPlan:
         #: a delta, not a snapshot — other agents charge the shared ledger
         #: concurrently).
         self.flushes = 0
-        #: Per-entry logical events currently accounted to
-        #: ``env.coalesced_count`` for this window (re-arm adjustments are
-        #: tracked directly on the environment, not here).
-        self.coalesced_logged = 0
         #: Physical events that fed this window from the store: 1 for a
         #: window the server process popped off its queue, 0 for a window
         #: opened by an eager submit-side commit.  The logical total of a
-        #: fully delivered window of k requests is k+1 either way.
+        #: fully delivered window of k requests is k+1 either way, so a
+        #: window of k entries has k - origin_physical logical events
+        #: accounted to ``env.coalesced_count`` (re-arm adjustments are
+        #: tracked directly on the environment).
         self.origin_physical = origin_physical
 
 
@@ -224,6 +286,7 @@ class ParameterServer:
         # without a state-owning job gets a private single-slot instance.
         self._state = state if state is not None else ServerStateArrays()
         self._slot = self._state.allocate_slot()
+        self._state.overhead[self._slot] = node.device.base_overhead
         self.process = None
         self._restart_requested = False
         self._scale_in_requested = False
@@ -262,12 +325,11 @@ class ParameterServer:
             self._sync_eligibility()
 
     def _sync_eligibility(self) -> None:
-        """Refresh this slot's vectorized-commit eligibility and overhead."""
+        """Refresh this slot's vectorized-commit eligibility."""
         state = self._state
         slot = self._slot
         state.eligible[slot] = (self._accepting and self.env.coalesce
                                 and self.node.contention.is_null)
-        state.overhead[slot] = self.node.device.base_overhead
 
     # -- worker-facing API --------------------------------------------------------
     def submit(self, worker: str, nbytes: float, done: Optional[Event] = None) -> Event:
@@ -285,7 +347,7 @@ class ParameterServer:
         request = PushRequest(worker=worker, nbytes=nbytes,
                               done=done if done is not None else Event(env),
                               submitted_at=env._now)
-        if self._accepting and env.coalesce and not self.queue.items:
+        if self._accepting and env.coalesce and not self.queue:
             contention = self.node.contention
             if contention.is_null or contention.is_deterministic:
                 self._commit_request(request)
@@ -307,10 +369,10 @@ class ParameterServer:
         :meth:`_on_wake`).
         """
         queue = self.queue
-        if queue._getters:
+        if queue.has_getters:
             self._set_accepting(False)
             if self._plan is not None:
-                queue.items.append(request)
+                queue.hold(request)
                 return
         queue.push(request)
 
@@ -331,50 +393,42 @@ class ParameterServer:
         departing worker's requests like any other queued push.
         """
         _, queued = self._rollback_plan(self.env.now, keep_in_flight=True)
-        items = self.queue.items
-        if queued:
-            items.extendleft(reversed(queued))
-        keep = [request for request in items if request.worker != worker]
-        dropped = len(items) - len(keep)
-        if dropped:
-            items.clear()
-            items.extend(keep)
-        if items:
+        queue = self.queue
+        queued.extend(queue.drain())
+        keep = [request for request in queued if request.worker != worker]
+        queue.requeue_front(keep)
+        if keep:
             # The survivors wait behind the window's in-flight request; the
             # wake-up will feed them to the parked server process when due.
             self._set_accepting(False)
-        return dropped
+        return len(queued) - len(keep)
 
     def pending_request_count(self) -> int:
         """Queued pushes awaiting handling (excludes the one being handled).
 
-        Matches the uncoalesced server's ``len(queue.items)``: requests that
-        a coalesced window committed but whose handling has not *started* yet
+        Matches the uncoalesced server's queue length: requests that a
+        coalesced window committed but whose handling has not *started* yet
         still count as queued; the in-flight one does not.
         """
-        count = len(self.queue.items)
-        plan = self._plan
-        if plan is not None:
-            now = self.env.now
-            for entry in plan.entries:
-                if entry[_E_START] > now:
-                    count += 1
-        return count
+        # An entry has not started while its predecessor's ack is ahead.
+        acks = self._state.plan_ack[self._state.window(self._slot)]
+        return len(self.queue) + int(np.count_nonzero(acks[:-1] > self.env.now))
 
     def pending_requests(self) -> List[PushRequest]:
         """The queued pushes themselves (same window as the count above)."""
-        pending = list(self.queue.items)
-        plan = self._plan
-        if plan is not None:
-            now = self.env.now
-            pending.extend(entry[_E_REQUEST] for entry in plan.entries
-                           if entry[_E_START] > now)
-        return pending
+        state = self._state
+        slot = self._slot
+        now = self.env.now
+        acks = state.plan_ack[state.window(slot)].tolist()
+        return list(self.queue) + [
+            request for request, previous_ack
+            in zip(state.plan_requests[slot][1:], acks)
+            if previous_ack > now]
 
     def _requeue_front(self, queued: List[PushRequest]) -> None:
         """Return rescinded requests to the queue front for re-planning."""
         if queued:
-            self.queue.items.extendleft(reversed(queued))
+            self.queue.requeue_front(queued)
             # The retained in-flight entry is still being handled: the
             # server must not pick the requeued tail up (or accept eager
             # commits ahead of it) before the in-flight acknowledgement.
@@ -410,8 +464,7 @@ class ParameterServer:
         leaves it.
         """
         _, queued = self._rollback_plan(self.env.now, keep_in_flight=False)
-        if queued:
-            self.queue.items.extendleft(reversed(queued))
+        self.queue.requeue_front(queued)
 
     # -- controller-facing API -----------------------------------------------------
     def request_kill_restart(self) -> bool:
@@ -497,7 +550,7 @@ class ParameterServer:
                     wake = self._commit_batch(current)
                     current = None
                     yield wake
-                    self._plan = None
+                    self._close_plan()
                     continue
                 fraction = float(delay_fraction_provider())
                 handling = node.server_time(
@@ -534,8 +587,7 @@ class ParameterServer:
                 # the queue front (where per-request stepping left it).
                 undelivered: List[PushRequest] = []
                 in_flight, queued = self._rollback_plan(env.now, keep_in_flight=False)
-                if queued:
-                    queue.items.extendleft(reversed(queued))
+                queue.requeue_front(queued)
                 if in_flight is not None and not in_flight.done.triggered:
                     undelivered.append(in_flight)
                 if get_event is not None:
@@ -553,8 +605,7 @@ class ParameterServer:
                     # (in-flight and queued) to the job, which re-partitions
                     # the parameter shards and re-routes the requests to the
                     # surviving servers, then leave the simulation for good.
-                    undelivered.extend(self.queue.items)
-                    self.queue.items.clear()
+                    undelivered.extend(queue.drain())
                     yield from self._drain_handler(self, undelivered)
                     return
                 # KILL_RESTART (or injected failure): requeue any in-flight
@@ -607,6 +658,32 @@ class ParameterServer:
         self._plan = plan
         return plan
 
+    def _close_plan(self) -> None:
+        """Forget the open window; its rows become free for the next one."""
+        self._plan = None
+        state = self._state
+        state.plan_end[self._slot] = state.plan_base[self._slot]
+        state.plan_requests[self._slot].clear()
+
+    def _report(self, plan: _BatchPlan, row: int, handling: float, ack: float) -> None:
+        """The periodic agent report of the committed request at ``row``."""
+        plan.reported.add(row)
+        agent = self.agent
+        agent.report_server_request(handling, ack)
+        if agent._iterations_since_report == 0:
+            plan.flushes += 1
+
+    def _publish_ack(self, plan: _BatchPlan, row: int, done: Event, ack: float) -> None:
+        """Publish one committed acknowledgement at its future time ``ack``."""
+        if done.triggered:
+            plan.private[row] = None
+        elif type(done) is CountdownEvent:
+            if done.abandoned:
+                plan.private[row] = None
+            done.count_down_at(ack, ack)
+        else:
+            plan.private[row] = self.env.schedule_at(done, ack, ack)
+
     def _commit_request(self, request: PushRequest) -> None:
         """Commit one request eagerly at submit time (server stays parked)."""
         env = self.env
@@ -630,31 +707,20 @@ class ParameterServer:
         ack = start + handling
         if plan is None:
             plan = self._open_plan(ack)
-        done = request.done
-        is_latch = type(done) is CountdownEvent
-        contributed = False
-        done_id = None
-        if not done.triggered:
-            if is_latch:
-                contributed = not done.abandoned
-                done.count_down_at(ack, ack)
-            else:
-                done_id = env.schedule_at(done, ack, ack)
+        requests = state.plan_requests[slot]
+        row = len(requests)
+        state.reserve()
+        state.append_rows(slot, slot * state.window_rows + row, ack, handling)
+        requests.append(request)
+        self._publish_ack(plan, row, request.done, ack)
         handled = int(state.handled[slot]) + 1
         state.handled[slot] = handled
         state.chain_tail[slot] = ack
         self._bpt_series.append(ack, handling)
         stride_provider = self._report_stride_provider
         stride = (stride_provider() or 1) if stride_provider is not None else 1
-        reported = handled % stride == 0
-        if reported:
-            agent = self.agent
-            agent.report_server_request(handling, ack)
-            if agent._iterations_since_report == 0:
-                plan.flushes += 1
-        plan.entries.append((request, start, ack, handling,
-                             is_latch, contributed, done_id, reported))
-        plan.coalesced_logged += 1
+        if handled % stride == 0:
+            self._report(plan, row, handling, ack)
         env.coalesced_count += 1
 
     def _on_wake(self, wake: Event) -> None:
@@ -671,24 +737,25 @@ class ParameterServer:
         env = self.env
         plan = self._plan
         if plan is not None and plan.wake is wake:
-            entries = plan.entries
-            if entries and entries[-1][_E_ACK] > env._now:
+            # The chain tail is the open window's last acknowledgement.
+            end = float(self._state.chain_tail[self._slot])
+            if end > env._now:
                 new_wake = Event(env)
                 new_wake.callbacks.append(self._on_wake)
                 plan.wake = new_wake
-                plan.wake_id = env.schedule_at(new_wake, entries[-1][_E_ACK])
+                plan.wake_id = env.schedule_at(new_wake, end)
                 env.coalesced_count -= 1
                 return
-            self._plan = None
+            self._close_plan()
         queue = self.queue
-        if queue.items and queue._getters:
+        if queue and queue.has_getters:
             # The get event this dispatch schedules exists only because the
             # server parks between coalesced windows (the uncoalesced server
             # would have been busy handling and polled synchronously), so it
             # is cancelled out of the logical-event accounting.
             self._set_accepting(False)
             env.coalesced_count -= 1
-            queue._dispatch()
+            queue.kick()
 
     def _commit_batch(self, first: PushRequest) -> Event:
         """Commit the current queue as one coalesced window; return the wake event.
@@ -707,11 +774,8 @@ class ParameterServer:
         agent = self.agent
         state = self._state
         slot = self._slot
-        items = self.queue.items
         requests: List[PushRequest] = [first]
-        if items:
-            requests.extend(items)
-            items.clear()
+        requests.extend(self.queue.drain())
         k = len(requests)
         t0 = env.now
         per_byte_cost = self.config.server_per_byte_cost_s
@@ -726,13 +790,13 @@ class ParameterServer:
             chain[1:] = node.device.base_overhead + per_byte_cost * np.fromiter(
                 (request.nbytes for request in requests), dtype=np.float64, count=k)
             handlings = chain[1:].tolist()
-            acks = np.cumsum(chain)[1:].tolist()
+            chain = np.cumsum(chain).tolist()
         else:
             # Deterministic non-null contention: the model is a pure function
             # of time, but not an affine one — step the scalar recurrence.
             fraction = float(self._delay_fraction_provider())
             handlings = []
-            acks = []
+            chain = [t0]
             t = t0
             for request in requests:
                 handling = node.server_time(
@@ -740,7 +804,7 @@ class ParameterServer:
                     per_byte_cost=per_byte_cost, delay_fraction=fraction)
                 t += handling
                 handlings.append(handling)
-                acks.append(t)
+                chain.append(t)
         # The wake event is scheduled before any acknowledgement so that at
         # the window's final instant the server resumes first, then the last
         # worker — the same callback order per-request stepping produces.
@@ -752,38 +816,22 @@ class ParameterServer:
             agent_state=agent.snapshot_report_state(),
             origin_physical=1)
         plan.wake = wake
-        plan.wake_id = env.schedule_at(wake, acks[-1])
-        entries = plan.entries
+        plan.wake_id = env.schedule_at(wake, chain[-1])
         bpt_series = self._bpt_series
         stride_provider = self._report_stride_provider
         stride = (stride_provider() or 1) if stride_provider is not None else 1
-        flushes = 0
-        start = t0
-        for request, handling, ack in zip(requests, handlings, acks):
-            done = request.done
-            is_latch = type(done) is CountdownEvent
-            contributed = False
-            done_id = None
-            if not done.triggered:
-                if is_latch:
-                    contributed = not done.abandoned
-                    done.count_down_at(ack, ack)
-                else:
-                    done_id = env.schedule_at(done, ack, ack)
+        state.plan_requests[slot].extend(requests)
+        for row, (request, handling) in enumerate(zip(requests, handlings)):
+            ack = chain[row + 1]
+            state.reserve()
+            state.append_rows(slot, slot * state.window_rows + row, ack, handling)
+            self._publish_ack(plan, row, request.done, ack)
             handled += 1
             bpt_series.append(ack, handling)
-            reported = handled % stride == 0
-            if reported:
-                agent.report_server_request(handling, ack)
-                if agent._iterations_since_report == 0:
-                    flushes += 1
-            entries.append((request, start, ack, handling,
-                            is_latch, contributed, done_id, reported))
-            start = ack
+            if handled % stride == 0:
+                self._report(plan, row, handling, ack)
         state.handled[slot] = handled
-        state.chain_tail[slot] = acks[-1]
-        plan.flushes = flushes
-        plan.coalesced_logged = k - 1
+        state.chain_tail[slot] = chain[-1]
         env.count_coalesced(k - 1)
         self._plan = plan
         return wake
@@ -810,81 +858,81 @@ class ParameterServer:
         plan = self._plan
         if plan is None:
             return None, []
-        entries = plan.entries
-        if not entries or now >= entries[-1][_E_ACK]:
+        state = self._state
+        slot = self._slot
+        if now >= state.chain_tail[slot]:
             # Fully delivered: nothing speculative left to unwind.  (The
             # window's wake-up stays scheduled and closes it as a no-op.)
-            self._plan = None
+            self._close_plan()
             return None, []
         env = self.env
         agent = self.agent
-        state = self._state
-        slot = self._slot
-        split = 0
-        for split, entry in enumerate(entries):
-            if entry[_E_ACK] > now:
-                break
-        in_flight = entries[split]
-        kept = entries[:split]
-        suffix = entries[split + 1:] if keep_in_flight else entries[split:]
+        window = state.window(slot)
+        count = window.stop - window.start
+        acks = state.plan_ack[window].tolist()
+        handlings = state.plan_handling[window].tolist()
+        requests = state.plan_requests[slot]
+        # Acknowledgements grow along the chain: the first one past ``now``
+        # is the in-flight entry.
+        split = int(np.searchsorted(state.plan_ack[window], now, side="right"))
+        first_rescinded = split + 1 if keep_in_flight else split
         # 1. Rescind the undelivered acknowledgements, newest first.
-        for entry in reversed(suffix):
-            done = entry[_E_REQUEST].done
-            if entry[_E_IS_LATCH]:
-                if entry[_E_CONTRIBUTED]:
-                    done.rescind(entry[_E_ACK], entry[_E_ACK])
-            elif entry[_E_DONE_ID] is not None:
-                env.discard_scheduled(entry[_E_DONE_ID])
-                done._ok = None
-                done._value = PENDING
+        private = plan.private
+        for row in range(count - 1, first_rescinded - 1, -1):
+            if row in private:
+                done_id = private[row]
+                if done_id is not None:
+                    done = requests[row].done
+                    env.discard_scheduled(done_id)
+                    done._ok = None
+                    done._value = PENDING
+            else:
+                requests[row].done.rescind(acks[row], acks[row])
         # 2. Rewind every observable to the pre-window snapshot.
-        self._bpt_series.truncate(plan.series_len_before)
+        bpt_series = self._bpt_series
+        bpt_series.truncate(plan.series_len_before)
         agent.restore_report_state(plan.agent_state)
         group = agent.group
         group.report_overhead_s -= plan.flushes * group.config.agent_sync_overhead_s
+        plan.flushes = 0
+        reported_rows = plan.reported
+        plan.reported = set()
         handled = plan.handled_before
-        bpt_series = self._bpt_series
         # 3. Replay the delivered prefix with its recorded decisions.
-        flushes = 0
-        for entry in kept:
+        for row in range(split):
             handled += 1
-            bpt_series.append(entry[_E_ACK], entry[_E_HANDLING])
-            if entry[_E_REPORTED]:
-                agent.report_server_request(entry[_E_HANDLING], entry[_E_ACK])
-                if agent._iterations_since_report == 0:
-                    flushes += 1
+            bpt_series.append(acks[row], handlings[row])
+            if row in reported_rows:
+                self._report(plan, row, handlings[row], acks[row])
         # 4. Re-commit (or drop) the in-flight entry and move the wake-up.
         env.discard_scheduled(plan.wake_id)
         wake = plan.wake
         wake._ok = None
         wake._value = PENDING
+        # Logical-event credits for the retained work: every kept entry plus
+        # the window's park/pop, minus what fed the window physically.
+        env.coalesced_count += split + 1 - count
         if keep_in_flight:
-            in_ack = in_flight[_E_ACK]
-            in_handling = in_flight[_E_HANDLING]
+            in_ack = acks[split]
+            in_handling = handlings[split]
             plan.wake_id = env.schedule_at(wake, in_ack)
             handled += 1
             bpt_series.append(in_ack, in_handling)
             stride_provider = self._report_stride_provider
             stride = (stride_provider() or 1) if stride_provider is not None else 1
-            reported = handled % stride == 0
-            if reported:
-                agent.report_server_request(in_handling, in_ack)
-                if agent._iterations_since_report == 0:
-                    flushes += 1
-            in_flight = in_flight[:_E_REPORTED] + (reported,)
-            plan.entries = kept + [in_flight]
+            if handled % stride == 0:
+                self._report(plan, split, in_handling, in_ack)
+            state.plan_end[slot] = window.start + split + 1
+            rescinded = requests[split + 1:]
+            del requests[split + 1:]
+            plan.private = {row: done_id for row, done_id in private.items()
+                            if row <= split}
             state.chain_tail[slot] = in_ack
-        else:
-            plan.entries = kept
-            state.chain_tail[slot] = now
+            state.handled[slot] = handled
+            return None, rescinded
+        in_flight = requests[split]
+        rescinded = requests[split + 1:]
+        state.chain_tail[slot] = now
         state.handled[slot] = handled
-        plan.flushes = flushes
-        # Logical-event credits for the retained work: every kept entry plus
-        # the window's park/pop, minus what fed the window physically.
-        new_logged = len(kept) + 1 - plan.origin_physical
-        env.coalesced_count += new_logged - plan.coalesced_logged
-        plan.coalesced_logged = new_logged
-        if keep_in_flight:
-            return None, [entry[_E_REQUEST] for entry in suffix]
-        self._plan = None
-        return in_flight[_E_REQUEST], [entry[_E_REQUEST] for entry in suffix[1:]]
+        self._close_plan()
+        return in_flight, rescinded

@@ -346,6 +346,7 @@ class PSWorker:
         # one call commits the whole iteration's pushes against the job's
         # ServerStateArrays when every target server is idle-eligible.
         push_fanout = getattr(job, "push_fanout", None) if env.coalesce else None
+        park_idle_poll = getattr(job, "park_idle_poll", None)
         name = self.name
         config = self.config
         timeout = env.timeout
@@ -392,7 +393,10 @@ class PSWorker:
                     # are DOING on other workers): step out of the barrier so
                     # the workers that do hold data are not blocked, and poll.
                     self._exit_barrier()
-                    yield timeout(config.data_poll_interval_s)
+                    if park_idle_poll is None:
+                        yield timeout(config.data_poll_interval_s)
+                    else:
+                        yield park_idle_poll(agent)
                     continue
                 self._enter_barrier()
                 if dds_cost > 0:

@@ -32,7 +32,9 @@ transition, an elastic membership change), the committed tail is *rescinded*:
 re-plans from the perturbation point.  The ``coalesce`` flag (or the
 ``REPRO_NO_COALESCE=1`` escape hatch at the experiment layer) turns the whole
 mechanism off, falling back to strictly per-event stepping — both modes
-produce byte-identical traces, which the golden suite pins.
+produce byte-identical traces, which the golden suite pins.  The same switch
+gates :class:`PollCohorts`, which lets idle pollers due at the same instant
+share one heap entry.
 
 The environment keeps the two event counters separate: ``processed_count``
 counts *physical* heap pops, while :meth:`count_coalesced` accounts the
@@ -58,6 +60,7 @@ import gc
 import heapq
 import itertools
 from collections import deque
+from operator import attrgetter
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -70,6 +73,7 @@ __all__ = [
     "AnyOf",
     "CountdownEvent",
     "PeriodicTask",
+    "PollCohorts",
     "Store",
     "StopSimulation",
     "PENDING",
@@ -437,7 +441,7 @@ class CountdownEvent(Event):
     """
 
     __slots__ = ("_remaining", "_abandoned", "_fire_delay",
-                 "_contributions", "_fire_id")
+                 "_contributions", "_batch", "_fire_id")
 
     def __init__(self, env: "Environment", count: int,
                  fire_delay: float = 0.0) -> None:
@@ -452,6 +456,10 @@ class CountdownEvent(Event):
         # (when, value) per count_down, in call order.  Kept so a rescinded
         # contribution can be removed and the firing time recomputed.
         self._contributions: List = []
+        # A first count_down_many_at batch is kept as the caller's list of
+        # times (each contribution valued with its own time) until another
+        # contribution or a rescind needs the tuple form.
+        self._batch: Optional[List[float]] = None
         self._fire_id: Optional[int] = None
 
     @property
@@ -486,6 +494,14 @@ class CountdownEvent(Event):
         self.count_down_at(self.env._now, value)
         return self._remaining
 
+    def _contribution_list(self) -> List:
+        """The contributions as ``(when, value)`` tuples, in call order."""
+        batch = self._batch
+        if batch is not None:
+            self._contributions.extend(zip(batch, batch))
+            self._batch = None
+        return self._contributions
+
     def count_down_at(self, when: float, value: Any = None) -> bool:
         """Record one completion that takes effect at absolute time ``when``.
 
@@ -501,7 +517,7 @@ class CountdownEvent(Event):
         if self._remaining <= 0:
             raise RuntimeError(f"{self!r} has already been fully counted down")
         self._remaining -= 1
-        self._contributions.append((when, value))
+        self._contribution_list().append((when, value))
         if self._remaining != 0:
             return False
         self._arm_fire()
@@ -511,10 +527,10 @@ class CountdownEvent(Event):
         """Record a batch of completions, each valued with its own time.
 
         Vectorised fan-out entry point: a producer that just committed one
-        acknowledgement per slot calls this once with all the ack times
-        instead of issuing ``len(whens)`` ``count_down_at`` calls.  Each
-        contribution's value is its time (the fan-out protocol's ack
-        payload).  Returns True when the batch armed the firing event.
+        acknowledgement per slot calls this once with the list of all the
+        ack times instead of issuing ``len(whens)`` ``count_down_at`` calls.
+        The list is kept as is (the caller must not mutate it).  Returns
+        True when the batch armed the firing event.
         """
         if self._abandoned:
             return False
@@ -522,7 +538,10 @@ class CountdownEvent(Event):
         if n > self._remaining:
             raise RuntimeError(f"{self!r} has already been fully counted down")
         self._remaining -= n
-        self._contributions.extend(zip(whens, whens))
+        if self._contributions or self._batch is not None:
+            self._contribution_list().extend(zip(whens, whens))
+        else:
+            self._batch = whens
         if self._remaining != 0:
             return False
         self._arm_fire()
@@ -530,10 +549,16 @@ class CountdownEvent(Event):
 
     def _arm_fire(self) -> None:
         """Schedule the latch at the latest contribution (latest call wins ties)."""
-        fire_when, fire_value = self._contributions[0]
-        for contrib_when, contrib_value in self._contributions:
-            if contrib_when >= fire_when:
-                fire_when, fire_value = contrib_when, contrib_value
+        if self._batch is not None:
+            # Every batch contribution is valued with its own time, so equal
+            # times carry equal values and the maximum decides alone.
+            fire_when = fire_value = max(self._batch)
+        else:
+            contributions = self._contributions
+            fire_when, fire_value = contributions[0]
+            for contrib_when, contrib_value in contributions:
+                if contrib_when >= fire_when:
+                    fire_when, fire_value = contrib_when, contrib_value
         fire_delay = self._fire_delay
         self._fire_id = self.env.schedule_at(
             self, fire_when + fire_delay, fire_value)
@@ -550,7 +575,7 @@ class CountdownEvent(Event):
         event, the heap entry is discarded and the latch returns to the
         pending state so producers can contribute again.
         """
-        self._contributions.remove((when, value))
+        self._contribution_list().remove((when, value))
         self._remaining += 1
         if self._fire_id is not None:
             env = self.env
@@ -672,6 +697,148 @@ class PeriodicTask:
         return n
 
 
+class _Cohort(Event):
+    """The heap entry of one :class:`PollCohorts` cohort."""
+
+    __slots__ = ("tickets", "keys", "when", "eid", "last_eid")
+
+
+#: A ticket's callbacks: empty once its process was interrupted away.
+_callbacks_of = attrgetter("callbacks")
+
+
+class PollCohorts:
+    """Idle pollers on one interval, sharing heap entries.
+
+    Processes that poll shared state on a fixed interval and find nothing to
+    do (workers waiting for a data shard) would each pop one timeout per
+    poll.  A process whose next poll is expected to be a no-op parks here
+    with :meth:`park` instead of yielding ``env.timeout(interval)``.  Parks
+    due at the same instant whose timeouts would sit next to each other in
+    heap order — no other event was scheduled between them — share one heap
+    entry, a *cohort*.
+
+    When a cohort fires, its members are visited in the order their
+    timeouts would have fired.  ``first_acting(keys, start)`` returns the
+    index of the first member at or after ``start`` whose poll would do
+    anything (``len(keys)`` when none would).  Members before it stay
+    parked: ``on_idle(n)`` applies the side effects of their ``n`` no-op
+    polls, and they move on to the cohort due one interval later.  The
+    acting member is resumed in place, exactly as its timeout firing would
+    resume it; the members after it go back on the heap at the same instant,
+    ahead of anything the woken process schedules, so every event keeps the
+    position stepping gives it.
+
+    An interrupted member (its process no longer waits on its ticket) is
+    dropped when its cohort fires, as a cancelled timeout pops without
+    effect.  Every member visited counts as one logical event.  Only
+    components that coalesce use this; with ``coalesce=False`` they yield
+    plain timeouts.
+    """
+
+    __slots__ = ("env", "interval", "first_acting", "on_idle", "_open")
+
+    def __init__(self, env: "Environment", interval: float,
+                 first_acting: Callable[[List[Any], int], int],
+                 on_idle: Callable[[int], None]) -> None:
+        if interval <= 0:
+            raise ValueError("interval must be positive")
+        self.env = env
+        self.interval = interval
+        self.first_acting = first_acting
+        self.on_idle = on_idle
+        # The newest cohort: a park joins it when due at the same instant
+        # and no event id was drawn since the cohort's last member joined.
+        self._open: Optional[_Cohort] = None
+
+    def park(self, key: Any) -> Event:
+        """Sleep one interval like ``env.timeout(interval)``, in a cohort.
+
+        Returns the event the caller yields; ``key`` is what
+        ``first_acting`` sees of this member when the poll falls due.
+        """
+        ticket = Event(self.env)
+        self._join([ticket], [key], self.env._now + self.interval)
+        return ticket
+
+    def _join(self, tickets: List[Event], keys: List[Any], when: float) -> None:
+        """Schedule members at ``when``, as consecutive timeouts would be."""
+        # One id drawn per join stands in for the members' consecutive ids:
+        # any event scheduled between two joins draws an id in between.
+        eid = next(self.env._eid)
+        cohort = self._open
+        if cohort is not None and cohort.when == when and cohort.last_eid + 1 == eid:
+            cohort.tickets.extend(tickets)
+            cohort.keys.extend(keys)
+        else:
+            cohort = self._open = self._push(tickets, keys, when, eid)
+        cohort.last_eid = eid
+
+    def _push(self, tickets: List[Event], keys: List[Any], when: float,
+              eid: int) -> _Cohort:
+        env = self.env
+        cohort = _Cohort(env)
+        cohort._ok = True
+        cohort._value = None
+        cohort.callbacks.append(self._fire)
+        cohort.tickets = tickets
+        cohort.keys = keys
+        cohort.when = when
+        cohort.eid = eid
+        env.scheduled_count += 1
+        heapq.heappush(env._queue, (when, _NORMAL, eid, cohort))
+        return cohort
+
+    def _fire(self, cohort: _Cohort) -> None:
+        env = self.env
+        tickets = cohort.tickets
+        keys = cohort.keys
+        count = len(tickets)
+        staying: List[Event] = []
+        staying_keys: List[Any] = []
+        start = 0
+        while True:
+            index = self.first_acting(keys, start)
+            if index > start:
+                # Members in [start, index) no-op; interrupted ones drop out.
+                idle = tickets[start:index]
+                if all(map(_callbacks_of, idle)):
+                    staying.extend(idle)
+                    staying_keys.extend(keys[start:index])
+                else:
+                    for ticket, key in zip(idle, keys[start:index]):
+                        if ticket.callbacks:
+                            staying.append(ticket)
+                            staying_keys.append(key)
+            if index >= count:
+                break
+            ticket = tickets[index]
+            if not ticket.callbacks:
+                start = index + 1
+                continue
+            self._stay(staying, staying_keys)
+            env.coalesced_count += index
+            if index + 1 < count:
+                # The cohort's own heap slot was just popped, so its id
+                # orders the rest before anything scheduled from now on.
+                self._push(tickets[index + 1:], keys[index + 1:],
+                           cohort.when, cohort.eid)
+            callbacks, ticket.callbacks = ticket.callbacks, None
+            ticket._ok = True
+            ticket._value = None
+            for callback in callbacks:
+                callback(ticket)
+            return
+        self._stay(staying, staying_keys)
+        env.coalesced_count += count - 1
+
+    def _stay(self, tickets: List[Event], keys: List[Any]) -> None:
+        """Apply the no-op polls of ``tickets`` and park them one interval on."""
+        if tickets:
+            self.on_idle(len(tickets))
+            self._join(tickets, keys, self.env._now + self.interval)
+
+
 class Store:
     """An unbounded FIFO channel between processes.
 
@@ -690,6 +857,15 @@ class Store:
 
     def __len__(self) -> int:
         return len(self.items)
+
+    def __iter__(self):
+        """Iterate over the queued items, oldest first (the store is unchanged)."""
+        return iter(self.items)
+
+    @property
+    def has_getters(self) -> bool:
+        """True while at least one ``get`` request waits for an item."""
+        return bool(self._getters)
 
     def _confirmation(self, item: Any) -> Event:
         """Build the already-processed confirmation event ``put`` returns.
@@ -748,6 +924,32 @@ class Store:
         if self.items and not self._getters:
             return self.items.popleft()
         return None
+
+    def hold(self, item: Any) -> None:
+        """Append ``item`` without serving a waiting getter.
+
+        For a consumer that is logically busy although its getter is parked
+        (a coalesced window in flight): the item waits until :meth:`kick`.
+        """
+        self.items.append(item)
+
+    def requeue_front(self, items: List[Any]) -> None:
+        """Put ``items`` back at the head of the queue, keeping their order.
+
+        Like :meth:`hold`, this serves no waiting getter; call :meth:`kick`
+        once the consumer may take them.
+        """
+        self.items.extendleft(reversed(items))
+
+    def drain(self) -> List[Any]:
+        """Remove and return every queued item, oldest first."""
+        items = list(self.items)
+        self.items.clear()
+        return items
+
+    def kick(self) -> None:
+        """Serve waiting getters from the queued items (see :meth:`hold`)."""
+        self._dispatch()
 
     def cancel(self, get_event: Event) -> bool:
         """Withdraw a pending get request.

@@ -36,6 +36,19 @@ def test_registry_is_fully_covered():
     assert len(ALL_NAMES) >= 29
 
 
+def _server_bpt_series(result):
+    """Every ``server_bpt`` series of a run: (times, values) per server.
+
+    The series is shared: a server's per-request points and its agent's
+    flushed means land in it.  Fingerprints only digest worker series, so
+    a reordering here would not show in the golden traces.
+    """
+    metrics = result.run.metrics
+    return {tag: (metrics.series("server_bpt", tag).times(),
+                  metrics.series("server_bpt", tag).values())
+            for tag in metrics.tags("server_bpt")}
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_coalesce_on_off_fingerprints_byte_identical(name):
     spec = get_scenario(name)
@@ -44,6 +57,13 @@ def test_coalesce_on_off_fingerprints_byte_identical(name):
     assert fast.golden_trace() == slow.golden_trace(), (
         f"scenario {name!r} fingerprints differently with cohort coalescing "
         f"on vs off — the fast path changed observable behaviour")
+    fast_series = _server_bpt_series(fast)
+    slow_series = _server_bpt_series(slow)
+    assert sorted(fast_series) == sorted(slow_series)
+    for tag in sorted(slow_series):
+        assert fast_series[tag] == slow_series[tag], (
+            f"scenario {name!r}: server_bpt series of {tag} differs with "
+            f"cohort coalescing on vs off")
 
 
 def test_no_coalesce_env_hatch_selects_the_slow_path(monkeypatch):

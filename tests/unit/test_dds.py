@@ -271,3 +271,36 @@ def test_static_partition_failover_rewinds_to_confirmed():
     assert rewound == 30
     again = partition.next_range("a", 30)
     assert again.offset == first.end
+
+
+# ----------------------------------------------------------------- idle-poll support
+def test_dds_assignable_work_tracks_queued_todo_shards():
+    dds = StatefulDDS(num_samples=200, global_batch_size=100, batches_per_shard=1,
+                      op_cost_s=0.25)
+    assert dds.has_assignable_work
+    assert dds.next_range("w0", 50) is not None
+    assert dds.next_range("w1", 50) is not None
+    # Both shards are DOING: a worker holding none would get nothing.
+    assert not dds.has_assignable_work
+    dds.on_worker_failover("w1")
+    assert dds.has_assignable_work
+
+
+def test_dds_idle_polls_charge_like_failed_fetches():
+    polled = StatefulDDS(num_samples=100, global_batch_size=100, batches_per_shard=1,
+                         op_cost_s=0.1)
+    recorded = StatefulDDS(num_samples=100, global_batch_size=100, batches_per_shard=1,
+                           op_cost_s=0.1)
+    for dds in (polled, recorded):
+        dds.next_range("w0", 10)
+    for _ in range(7):
+        assert polled.next_range("w1", 10) is None
+    recorded.register_worker("w1")
+    recorded.record_idle_polls(7)
+    assert recorded.total_overhead_s == polled.total_overhead_s
+    assert recorded.last_op_cost_s == polled.last_op_cost_s
+
+
+def test_static_partition_never_parks_idle_polls():
+    allocator = StaticPartition(num_samples=10, workers=["w0", "w1"])
+    assert allocator.has_assignable_work
