@@ -17,7 +17,7 @@ test:
 
 ## Exactly what .github/workflows/ci.yml runs — one local command to know
 ## the gate will pass before pushing.
-ci: lint test golden-check trace-smoke serve-smoke
+ci: lint test golden-check trace-smoke serve-smoke bench-smoke
 
 ## Static analysis: the determinism & sim-safety linter (AST rules DET/SIM,
 ## cross-artifact CON checks) against the committed lint-baseline.json, plus

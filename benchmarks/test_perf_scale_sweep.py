@@ -82,8 +82,6 @@ def test_perf_scale_sweep():
         reporter.add(f"sweep_nd_{num_workers}w", wall_s=nd_wall,
                      events_processed=float(nd_events), events_per_sec=nd_eps,
                      num_workers=float(num_workers), sim_time=nd.jct, jct_s=nd.jct)
-        reporter.add(f"sweep_dd_{num_workers}w", wall_s=dd_wall,
-                     num_workers=float(num_workers), jct_s=dd.jct)
     reporter.write()
 
     print("\nPerf scale sweep (ND = PS event simulation, DD = closed-form AllReduce):")

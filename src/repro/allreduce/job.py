@@ -97,12 +97,6 @@ class AllReduceJob:
         """Total number of GPU devices in the job."""
         return sum(group.count for group in self.groups)
 
-    def _group(self, name: str) -> GPUWorkerGroup:
-        for group in self.groups:
-            if group.name == name:
-                return group
-        raise KeyError(f"unknown device group {name!r}")
-
     def run(self, assignments: Sequence[DeviceAssignment], strategy: str = "custom"
             ) -> AllReduceResult:
         """Simulate the job under the given per-group assignment."""

@@ -27,7 +27,6 @@ _ENGINE_WHITELIST = (
 #: Environment internals: the event heap and run-loop bookkeeping.
 _ENV_INTERNALS = frozenset({
     "_queue", "_eid", "_dead", "_active_process",
-    "_quiescent_pending", "_periodic_tasks",
 })
 
 #: Store internals: the item/getter deques and dispatch machinery.

@@ -52,11 +52,6 @@ class CheckpointSchedule:
         """Expected training time lost to a uniformly random failure instant."""
         return self.save_interval_s / 2.0
 
-    def saving_overhead_per_failover_window(self, failure_time: float) -> float:
-        """Total save cost paid up to ``failure_time``."""
-        saves = int(failure_time // self.save_interval_s)
-        return saves * self.save_cost_s
-
 
 @dataclass
 class FailoverModel:

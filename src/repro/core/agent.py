@@ -95,11 +95,6 @@ class AgentGroup:
         """All broadcast actions with generation greater than ``generation``."""
         return [(gen, action) for gen, action in self._actions if gen > generation]
 
-    @property
-    def action_history(self) -> List[Action]:
-        """Every global action broadcast so far, in order."""
-        return [action for _, action in self._actions]
-
     # -- overhead accounting ----------------------------------------------------------
     def charge_report(self) -> float:
         """Account for one agent report to the Monitor; returns the charge."""

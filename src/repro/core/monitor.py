@@ -89,11 +89,6 @@ class Monitor:
         """Workers that have reported at least once."""
         return list(self._workers)
 
-    @property
-    def known_servers(self) -> List[str]:
-        """Servers that have reported at least once."""
-        return list(self._servers)
-
     @staticmethod
     def _window_start(window_s: float, now: float) -> float:
         """Left edge of the sliding window ending at ``now``.
@@ -133,8 +128,3 @@ class Monitor:
         """Sliding-window mean throughput (samples/s) per worker — the v_i of Eq. 3."""
         return self.metrics.per_tag_window_means(
             self.WORKER_THROUGHPUT, self._window_start(window_s, now), now)
-
-    def worker_batch_sizes(self, window_s: float, now: float) -> Dict[str, float]:
-        """Sliding-window mean batch size per worker."""
-        return self.metrics.per_tag_window_means(
-            self.WORKER_BATCH, self._window_start(window_s, now), now)

@@ -124,6 +124,12 @@ class ElasticAllReduceJob:
             raise ValueError(
                 "membership changes must be ordered by strictly increasing "
                 "after_samples")
+        known = {group.name for group in self.job.groups}
+        for change in changes:
+            unknown = sorted(set(change.group_counts) - known)
+            if unknown:
+                raise ValueError(
+                    f"membership change names unknown group {unknown[0]!r}")
         total = self.job.workload.total_samples
         current_counts: Dict[str, int] = {group.name: group.count
                                           for group in self.job.groups}

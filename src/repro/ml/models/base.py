@@ -54,10 +54,6 @@ class Model:
                 )
             self.params[name][...] = value
 
-    def zero_like_gradients(self) -> Gradients:
-        """A gradient dict of zeros matching the parameter shapes."""
-        return {name: np.zeros_like(value) for name, value in self.params.items()}
-
     # -- compute -------------------------------------------------------------
     def forward(self, batch: Batch) -> np.ndarray:
         """Compute logits for a batch; caches activations for backward."""

@@ -320,20 +320,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
                              fingerprint=fingerprint).summary_row()
         row[0] = label
         # The engine sidecar splits logical events (what an uncoalesced run
-        # would process) into physical heap pops + coalesced commits + folded
-        # ticks; records written before the sidecar existed show "-".
+        # would process) into physical heap pops + coalesced commits; records
+        # written before the sidecar existed show "-".
         logical = engine.get("engine_events_processed")
         physical = engine.get("engine_events_physical")
-        folded = engine.get("engine_events_folded")
         if logical is None:
-            row += ["-", "-", "-"]
+            row += ["-", "-"]
         else:
-            coalesced = (int(logical) - int(physical) - int(folded)
-                         if physical is not None and folded is not None
-                         else None)
             row += [int(logical),
-                    coalesced if coalesced is not None else "-",
-                    int(folded) if folded is not None else "-"]
+                    int(logical) - int(physical) if physical is not None else "-"]
         rows.append((label, row))
         fingerprints[label] = fingerprint
         traceable.append((label, spec))
@@ -344,7 +339,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"{len(rows)} cached result(s) in {store.path}", file=sys.stderr)
         return 0
     headers = ["scenario", "method", "JCT (s)", "samples", "restarts",
-               "failures", "events", "coalesced", "folded"]
+               "failures", "events", "coalesced"]
     print(format_table(headers, [row for _, row in rows]))
     print(f"{len(rows)} cached result(s) in {store.path} (0 simulations run)")
     if getattr(args, "trace", False):

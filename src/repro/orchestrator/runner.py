@@ -233,7 +233,6 @@ class SweepRunner:
                 "engine_events_scheduled": payload.get("engine_events_scheduled", 0),
                 "engine_events_processed": payload.get("engine_events_processed", 0),
                 "engine_events_physical": payload.get("engine_events_physical", 0),
-                "engine_events_folded": payload.get("engine_events_folded", 0),
             })
             if self.store is not None:
                 # Attach the logical/physical split as a store sidecar so
@@ -241,7 +240,7 @@ class SweepRunner:
                 # without re-simulating.
                 engine = {name: int(payload[name]) for name in (
                     "engine_events_scheduled", "engine_events_processed",
-                    "engine_events_physical", "engine_events_folded")
+                    "engine_events_physical")
                     if name in payload}
                 self.store.put(outcome.spec, outcome.fingerprint,
                                engine=engine or None)

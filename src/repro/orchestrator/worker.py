@@ -87,7 +87,6 @@ def run_payload(spec_dict: Dict[str, object]) -> Dict[str, object]:
             "engine_events_scheduled": sim.run.engine_events_scheduled,
             "engine_events_processed": sim.run.engine_events_processed,
             "engine_events_physical": sim.run.engine_events_physical,
-            "engine_events_folded": sim.run.engine_events_folded,
         }
     except Exception as exc:  # noqa: BLE001 - isolation is the contract
         return {
@@ -121,5 +120,4 @@ def outcome_payload(sim: Optional[SimRun], error: Optional[BaseException],
         "engine_events_scheduled": sim.run.engine_events_scheduled,
         "engine_events_processed": sim.run.engine_events_processed,
         "engine_events_physical": sim.run.engine_events_physical,
-        "engine_events_folded": sim.run.engine_events_folded,
     }

@@ -38,14 +38,13 @@ class EngineStats:
     """
 
     __slots__ = ("env", "_base_scheduled", "_base_processed",
-                 "_base_coalesced", "_base_folded")
+                 "_base_coalesced")
 
     def __init__(self, env: Any) -> None:
         self.env = env
         self._base_scheduled = self._read_scheduled()
         self._base_processed = self._read_processed()
         self._base_coalesced = self._read_coalesced()
-        self._base_folded = self._read_folded()
 
     @classmethod
     def absolute(cls, env: Any) -> "EngineStats":
@@ -54,7 +53,6 @@ class EngineStats:
         stats._base_scheduled = 0
         stats._base_processed = 0
         stats._base_coalesced = 0
-        stats._base_folded = 0
         return stats
 
     # -- raw reads -----------------------------------------------------------
@@ -79,17 +77,12 @@ class EngineStats:
         # Engines without coalescing (seed snapshot) never fold events.
         return int(getattr(self.env, "coalesced_count", 0))
 
-    def _read_folded(self) -> int:
-        # Quiescent-window tick folds; a subset of the coalesced total.
-        return int(getattr(self.env, "folded_count", 0))
-
     # -- deltas ----------------------------------------------------------------
     def reset(self) -> None:
         """Restart the per-run window at the environment's current totals."""
         self._base_scheduled = self._read_scheduled()
         self._base_processed = self._read_processed()
         self._base_coalesced = self._read_coalesced()
-        self._base_folded = self._read_folded()
 
     @property
     def scheduled(self) -> int:
@@ -112,15 +105,9 @@ class EngineStats:
         return self.logical
 
     @property
-    def folded(self) -> int:
-        """Periodic ticks folded by the quiescent-window fast-forward."""
-        return self._read_folded() - self._base_folded
-
-    @property
     def coalesced_commits(self) -> int:
-        """Logical events absorbed into cohort-coalesced commits (the
-        coalesced total minus the folded-tick share)."""
-        return (self.logical - self.physical) - self.folded
+        """Logical events absorbed into cohort-coalesced commits."""
+        return self.logical - self.physical
 
     def events_per_sec(self, wall_seconds: float) -> Optional[float]:
         """Processed events per wall-clock second (None when unmeasurable)."""
@@ -136,7 +123,6 @@ class EngineStats:
             "logical_events": float(self.logical),
             "physical_events": float(self.physical),
             "coalesced_commits": float(self.coalesced_commits),
-            "folded_ticks": float(self.folded),
             "sim_time": float(getattr(self.env, "now", 0.0)),
         }
         if wall_seconds is not None and wall_seconds > 0:

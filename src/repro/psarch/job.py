@@ -94,8 +94,7 @@ class PSRunResult:
     engine_events_scheduled: int = 0
     engine_events_processed: int = 0
     engine_events_physical: int = 0
-    # Periodic ticks folded by the quiescent-window fast-forward (a subset of
-    # the logical-minus-physical gap; the rest is cohort-coalesced commits).
+    # Always 0; kept only because perfbench/workloads.py still reads it.
     engine_events_folded: int = 0
     # Serving-tier SLO summary (None unless the scenario attached serving
     # traffic): per-tenant goodput, p50/p99 latency, shed counts by reason.
@@ -1251,7 +1250,6 @@ class PSTrainingJob:
             engine_events_scheduled=self.env.scheduled_count,
             engine_events_processed=self.env.processed_count + self.env.coalesced_count,
             engine_events_physical=self.env.processed_count,
-            engine_events_folded=getattr(self.env, "folded_count", 0),
             # Finalized after the server rewind above, so in-flight counts
             # see exactly the acknowledgements per-request stepping would
             # have delivered by the stop instant (mode-invariant).

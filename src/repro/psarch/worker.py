@@ -89,14 +89,6 @@ class WorkerStateArrays:
         self._size = slot + 1
         return slot
 
-    def total_samples_confirmed(self) -> int:
-        """Samples confirmed across every slot (vectorized)."""
-        return int(self.samples_confirmed[:self._size].sum())
-
-    def total_iterations_done(self) -> int:
-        """Iterations finished across every slot (vectorized)."""
-        return int(self.iterations_done[:self._size].sum())
-
     def total_dropped_iterations(self) -> int:
         """Backup-worker drops across every slot (vectorized)."""
         return int(self.dropped_iterations[:self._size].sum())

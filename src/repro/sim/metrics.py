@@ -268,11 +268,6 @@ class MetricsRecorder:
         """Return the series for ``(name, tag)`` (empty if never recorded)."""
         return self._get_or_create(name, tag)
 
-    def has_series(self, name: str, tag: str = GLOBAL) -> bool:
-        """True if at least one observation exists for ``(name, tag)``."""
-        series = self._series.get((name, tag))
-        return series is not None and len(series) > 0
-
     def tags(self, name: str) -> List[str]:
         """All tags that have observations under metric ``name``.
 

@@ -64,7 +64,7 @@ def test_two_process_sweep_is_byte_identical_at_1000_workers():
     """Serial vs 2-proc byte-identity holds at the 1000-worker scale point.
 
     The cohort-coalescing fast paths (eager commits, vectorized push fan-out,
-    quiescent-window fast-forward) are exactly the machinery a 1000-worker run
+    idle-poll cohorts) are exactly the machinery a 1000-worker run
     leans on hardest, so the determinism proof is re-pinned at that scale: the
     derived ``scale-120w@workers=1000`` scenario must fingerprint identically
     under the process pool and under the serial golden path.

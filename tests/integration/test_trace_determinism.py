@@ -124,11 +124,11 @@ def test_cli_sweep_trace_and_report_engine_columns(tmp_path, capsys):
 
     assert cli_main(["report", "--cache-dir", str(cache)]) == 0
     out = capsys.readouterr().out
-    assert "events" in out and "coalesced" in out and "folded" in out
+    assert "events" in out and "coalesced" in out
     row = next(line for line in out.splitlines() if AUTOSCALED in line)
     # The sidecar populated real numbers, not the "-" placeholders.
-    assert "-" not in row.split()[-3:]
-    assert all(cell.isdigit() for cell in row.split()[-3:])
+    assert "-" not in row.split()[-2:]
+    assert all(cell.isdigit() for cell in row.split()[-2:])
 
 
 def test_cli_trace_files_match_library_capture(tmp_path):

@@ -1,7 +1,7 @@
 """Registry-wide proof that cohort coalescing is behaviour-preserving.
 
 The engine's fast paths — eager submit-side commits, batched cohort plans,
-vectorized push fan-out, quiescent-window fast-forward — may only ever change
+vectorized push fan-out, idle-poll cohorts — may only ever change
 *how fast* a run executes, never *what* it computes.  The golden suite pins
 29 checked-in traces; these tests go further and pin, for **every** registered
 scenario, that the fingerprint with coalescing forced on is byte-identical to

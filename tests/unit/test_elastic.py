@@ -590,6 +590,49 @@ def test_elastic_allreduce_phases_and_speedup():
             MembershipChange(after_samples=25_000, group_counts={"V100": 4})))
 
 
+def _mixed_allreduce_job():
+    from repro.allreduce.job import AllReduceJob
+    from repro.allreduce.strategies import antdt_dd_assignment
+    from repro.experiments.workloads import make_gpu_groups
+    from repro.ml.data.imagenet import ImageWorkload
+    from repro.ml.models.cost_models import MOBILENET_V1
+
+    groups = make_gpu_groups(num_v100=4, num_p100=4)
+    job = AllReduceJob(groups=groups, model=MOBILENET_V1,
+                       workload=ImageWorkload(name="mini", num_samples=50_000),
+                       global_batch_size=1024)
+    return job, antdt_dd_assignment(groups, 1024, MOBILENET_V1.compute_cost)
+
+
+def test_elastic_allreduce_rejects_unordered_changes():
+    from repro.elastic import ElasticAllReduceJob, MembershipChange
+
+    job, assignments = _mixed_allreduce_job()
+    with pytest.raises(ValueError, match="increasing"):
+        ElasticAllReduceJob(job).run(assignments, changes=(
+            MembershipChange(after_samples=20_000, group_counts={"V100": 6}),
+            MembershipChange(after_samples=8_000, group_counts={"P100": 2})))
+
+
+def test_elastic_allreduce_rejects_unknown_group():
+    """A typo'd group name used to be charged a rendezvous and recorded as
+    phase membership; it must be refused before anything runs."""
+    from repro.elastic import ElasticAllReduceJob, MembershipChange
+
+    job, assignments = _mixed_allreduce_job()
+    with pytest.raises(ValueError, match="unknown group 'V10O'"):
+        ElasticAllReduceJob(job).run(assignments, changes=(
+            MembershipChange(after_samples=8_000, group_counts={"V10O": 8}),))
+
+
+def test_elastic_allreduce_rejects_missing_assignment():
+    from repro.elastic import ElasticAllReduceJob
+
+    job, assignments = _mixed_allreduce_job()
+    with pytest.raises(ValueError, match="missing"):
+        ElasticAllReduceJob(job).run(assignments[:1])
+
+
 # ---------------------------------------------------------------------------
 # Membership log
 # ---------------------------------------------------------------------------

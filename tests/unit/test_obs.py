@@ -220,17 +220,4 @@ class TestEngineStatsSplit:
         env.run()
         snapshot = stats.snapshot()
         assert snapshot["coalesced_commits"] == 0.0
-        assert snapshot["folded_ticks"] == 0.0
         assert snapshot["logical_events"] == snapshot["physical_events"]
-
-    def test_folded_counts_as_coalesced_subset(self):
-        from repro.perf import EngineStats
-        from repro.sim.engine import Environment
-
-        env = Environment()
-        stats = EngineStats(env)
-        env.folded_count += 3
-        env.coalesced_count += 5
-        assert stats.folded == 3
-        # logical - physical = 5 coalesced, of which 3 are folded ticks.
-        assert stats.coalesced_commits == 2

@@ -356,6 +356,26 @@ def test_cli_report_disambiguates_duplicate_scenario_names(store, capsys):
     assert all(label.startswith("orc-fast#") for label in fingerprints)
 
 
+def test_cli_report_renders_records_with_the_old_folded_sidecar(store, capsys):
+    """Caches written while the engine reported folded ticks keep an
+    ``engine_events_folded`` sidecar key; the report ignores it and still
+    fills the events and coalesced columns."""
+    from repro.orchestrator.cli import main as cli_main
+
+    store.put(FAST_SPEC, {"jct_s": 1.0, "samples_confirmed": 10},
+              engine={"engine_events_scheduled": 1300,
+                      "engine_events_processed": 1234,
+                      "engine_events_physical": 1000,
+                      "engine_events_folded": 7})
+    assert cli_main(["report", "--cache-dir", str(store.path.parent)]) == 0
+    out = capsys.readouterr().out
+    header = next(line for line in out.splitlines() if "scenario" in line)
+    assert header.split()[-2:] == ["events", "coalesced"]
+    assert "folded" not in out
+    row = next(line for line in out.splitlines() if "orc-fast" in line)
+    assert row.split()[-2:] == ["1234", "234"]
+
+
 def test_expand_autoscalers_axis_rewrites_elastic_policy():
     base = get_scenario("dedicated-baseline")
     variants = expand(base, autoscalers=("utilization", "straggler-pressure"))
