@@ -7,6 +7,8 @@ shard-accounting and exactly-once proofs, the stale-event regression for
 node removal mid-step, and the elastic AllReduce phase model.
 """
 
+import math
+
 import pytest
 
 from repro.core.actions import ActionType, ScaleIn, ScaleOut
@@ -631,6 +633,79 @@ def test_elastic_allreduce_rejects_missing_assignment():
     job, assignments = _mixed_allreduce_job()
     with pytest.raises(ValueError, match="missing"):
         ElasticAllReduceJob(job).run(assignments[:1])
+
+
+def test_elastic_allreduce_fixed_membership_matches_the_closed_form_job():
+    from repro.elastic import ElasticAllReduceJob
+
+    job, assignments = _mixed_allreduce_job()
+    fixed = job.run(assignments, strategy="elastic")
+    result = ElasticAllReduceJob(job).run(assignments)
+    assert len(result.phases) == 1
+    phase = result.phases[0]
+    assert phase.group_counts == {"V100": 4, "P100": 4}
+    assert phase.sync_period_s == fixed.sync_period_s
+    assert phase.samples_per_sync == fixed.samples_per_sync
+    assert result.num_syncs == math.ceil(50_000 / fixed.samples_per_sync)
+    assert result.jct == phase.duration_s == result.num_syncs * fixed.sync_period_s
+    assert result.rendezvous_total_s == 0.0
+    assert result.samples_trained == 50_000
+
+
+def test_elastic_allreduce_phase_accounting_adds_up():
+    from repro.elastic import ElasticAllReduceJob, MembershipChange
+
+    job, assignments = _mixed_allreduce_job()
+    result = ElasticAllReduceJob(job).run(assignments, changes=(
+        MembershipChange(after_samples=8_000, group_counts={"P100": 2}),
+        MembershipChange(after_samples=20_000,
+                         group_counts={"V100": 6, "P100": 0},
+                         rendezvous_cost_s=12.0)))
+    assert [phase.group_counts for phase in result.phases] == [
+        {"V100": 4, "P100": 4}, {"V100": 4, "P100": 2}, {"V100": 6, "P100": 0}]
+    assert result.rendezvous_total_s == 17.0
+    assert result.jct == pytest.approx(
+        sum(phase.duration_s for phase in result.phases) + 17.0, rel=1e-12)
+    assert [phase.samples_trained for phase in result.phases] == [
+        8_000, 12_000, 30_000]
+    assert result.samples_trained == 50_000
+    for phase in result.phases:
+        assert phase.duration_s == phase.num_syncs * phase.sync_period_s
+        # The last sync of a phase may be partial, never more than one.
+        assert (phase.num_syncs - 1) * phase.samples_per_sync \
+            < phase.samples_trained <= phase.num_syncs * phase.samples_per_sync
+
+
+def test_elastic_allreduce_removed_group_leaves_the_sync_period():
+    """A group scaled to 0 neither trains nor sets the straggler-bound period:
+    the phase runs exactly like a job built without it."""
+    from repro.allreduce.job import AllReduceJob
+    from repro.elastic import ElasticAllReduceJob, MembershipChange
+
+    job, assignments = _mixed_allreduce_job()
+    result = ElasticAllReduceJob(job).run(assignments, changes=(
+        MembershipChange(after_samples=10_000,
+                         group_counts={"V100": 4, "P100": 0}),))
+    v100 = [group for group in job.groups if group.name == "V100"]
+    alone = AllReduceJob(groups=v100, model=job.model, workload=job.workload,
+                         global_batch_size=job.global_batch_size).run(
+        [a for a in assignments if a.group == "V100"], strategy="elastic")
+    mixed, without = result.phases
+    assert without.sync_period_s == alone.sync_period_s < mixed.sync_period_s
+    assert without.samples_per_sync == alone.samples_per_sync
+
+
+def test_elastic_allreduce_change_past_the_workload_never_applies():
+    from repro.elastic import ElasticAllReduceJob, MembershipChange
+
+    job, assignments = _mixed_allreduce_job()
+    plain = ElasticAllReduceJob(job).run(assignments)
+    late = ElasticAllReduceJob(job).run(assignments, changes=(
+        MembershipChange(after_samples=60_000, group_counts={"V100": 8},
+                         rendezvous_cost_s=30.0),))
+    assert late.phases == plain.phases
+    assert late.jct == plain.jct
+    assert late.rendezvous_total_s == 0.0
 
 
 # ---------------------------------------------------------------------------

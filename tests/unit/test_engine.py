@@ -434,3 +434,109 @@ def test_step_counts_processed_events():
     env.step()
     assert env.processed_count == 1
     assert env.now == 1.0
+
+
+# -- run horizons ---------------------------------------------------------------
+
+
+def _ticker(env, interval, times, limit=None):
+    while limit is None or len(times) < limit:
+        yield env.timeout(interval)
+        times.append(env.now)
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_periodic_process_to_numeric_horizon(coalesce):
+    env = Environment(coalesce=coalesce)
+    times = []
+    env.process(_ticker(env, 0.7, times))
+    env.run(until=100.0)
+    assert env.now == 100.0
+    assert len(times) == 142
+    assert times[-1] <= 100.0 < times[-1] + 0.7
+    # One timeout per tick plus the process start; nothing is coalesced.
+    assert env.processed_count == len(times) + 1
+    assert env.coalesced_count == 0
+
+
+def test_numeric_horizons_resume_on_the_same_grid():
+    split = Environment()
+    split_times = []
+    split.process(_ticker(split, 0.3, split_times))
+    split.run(until=10.0)
+    first_window = len(split_times)
+    split.run(until=20.0)
+
+    whole = Environment()
+    whole_times = []
+    whole.process(_ticker(whole, 0.3, whole_times))
+    whole.run(until=20.0)
+
+    assert 0 < first_window < len(split_times)
+    assert split_times == whole_times
+    assert split.now == whole.now == 20.0
+
+
+def test_event_due_exactly_at_horizon_is_processed():
+    env = Environment()
+    fired = []
+    env.timeout(5.0).callbacks.append(lambda event: fired.append(env.now))
+    env.timeout(5.5).callbacks.append(lambda event: fired.append(env.now))
+    env.run(until=5.0)
+    assert fired == [5.0]
+    assert env.now == 5.0
+    env.run()
+    assert fired == [5.0, 5.5]
+
+
+def test_run_without_horizon_drains_a_finite_process():
+    env = Environment()
+    times = []
+    env.process(_ticker(env, 0.25, times, limit=7))
+    env.run()
+    assert times == [0.25 * k for k in range(1, 8)]
+    assert env.now == 1.75
+    assert env.peek() == float("inf")
+
+
+def test_run_until_processed_event_returns_its_value_at_once():
+    env = Environment()
+    done = env.event()
+    done.succeed("early")
+    env.run()
+    env.timeout(4.0)
+    assert env.run(until=done) == "early"
+    # Nothing ran: the pending timeout is still queued.
+    assert env.now == 0.0
+    assert env.peek() == 4.0
+
+
+def test_run_until_event_that_never_fires_raises():
+    env = Environment()
+    env.timeout(1.0)
+    with pytest.raises(RuntimeError, match="never triggered"):
+        env.run(until=env.event())
+
+
+def test_run_restores_the_garbage_collector_state():
+    import gc
+
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable()
+        env = Environment()
+        seen = []
+        env.timeout(1.0).callbacks.append(lambda event: seen.append(gc.isenabled()))
+        env.run()
+        assert seen == [False]
+        assert gc.isenabled()
+
+        gc.disable()
+        env.timeout(1.0)
+        env.run()
+        assert not gc.isenabled()
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()

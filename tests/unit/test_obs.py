@@ -221,3 +221,23 @@ class TestEngineStatsSplit:
         snapshot = stats.snapshot()
         assert snapshot["coalesced_commits"] == 0.0
         assert snapshot["logical_events"] == snapshot["physical_events"]
+
+    def test_coalesced_commits_are_logical_minus_physical(self):
+        from repro.perf import EngineStats
+        from repro.sim.engine import Environment
+
+        env = Environment()
+        env.timeout(1.0)
+        env.run()
+        stats = EngineStats(env)
+        env.timeout(1.0)
+        env.count_coalesced(5)
+        env.run()
+        assert stats.physical == 1
+        assert stats.logical == 6
+        assert stats.coalesced_commits == 5
+        snapshot = stats.snapshot()
+        assert snapshot["coalesced_commits"] == 5.0
+        assert snapshot["events_processed"] == snapshot["logical_events"] == 6.0
+        # Events counted before the window opened stay outside it.
+        assert EngineStats.absolute(env).logical == 7
