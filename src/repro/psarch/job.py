@@ -134,8 +134,8 @@ class _FanoutTargets:
     handling time of each target is too.
     """
 
-    __slots__ = ("targets", "nbytes", "idx", "handlings", "handlings_l",
-                 "times", "values", "requests", "base", "window_rows")
+    __slots__ = ("targets", "nbytes", "idx", "bpt_slots", "handlings",
+                 "handlings_l", "requests", "base", "window_rows")
 
     def __init__(self, targets: List[ParameterServer], nbytes: float,
                  state: ServerStateArrays, per_byte_cost_s: float) -> None:
@@ -145,9 +145,8 @@ class _FanoutTargets:
                                dtype=np.intp, count=len(targets))
         self.handlings = state.overhead[self.idx] + per_byte_cost_s * nbytes
         self.handlings_l = self.handlings.tolist()
-        buffers = [server._bpt_series.buffers() for server in targets]
-        self.times = [times for times, _ in buffers]
-        self.values = [values for _, values in buffers]
+        self.bpt_slots = np.fromiter((server._bpt_series.slot for server in targets),
+                                     dtype=np.intp, count=len(targets))
         self.requests = [state.plan_requests[server._slot] for server in targets]
         self.rebase(state)
 
@@ -209,7 +208,10 @@ class PSTrainingJob:
         # handled counters, eager-commit eligibility): created before the
         # servers so every server allocates its slot here, and the job can
         # commit one worker's whole push fan-out vectorized (push_fanout).
+        # Every server's ``server_bpt`` series lives in one column block for
+        # the same reason.
         self.server_state = ServerStateArrays(cluster.num_servers)
+        self.server_bpt = self.metrics.use_columns(Monitor.SERVER_BPT, cluster.num_servers)
         self._fanout_cache = None
         self.servers: List[ParameterServer] = []
         for node in cluster.servers:
@@ -716,9 +718,9 @@ class PSTrainingJob:
         acknowledgement an affine function of that server's chain tail.  This
         commits all S requests of one iteration with a handful of numpy
         operations over :class:`ServerStateArrays`: one scatter per window
-        column writes every server's entry.  Python runs only for the few
-        servers that open a window or report on this call, and the
-        ``server_bpt`` points go in with one C-level bulk append per column.
+        column writes every server's entry, and one per ``server_bpt``
+        column records every server's point.  Python runs only for the few
+        servers that open a window or report on this call.
         The shared latch is armed once with
         :meth:`CountdownEvent.count_down_many_at
         <repro.sim.engine.CountdownEvent.count_down_many_at>`.
@@ -739,31 +741,38 @@ class PSTrainingJob:
             return False
         env = self.env
         now = env._now
+        state.reserve()
+        if cache.window_rows != state.window_rows:
+            cache.rebase(state)
+        tails = state.chain_tail[idx]
+        handled = state.handled[idx]
+        # A target opens a window when it has none or its window ended
+        # before now; that one is retired here (see ParameterServer._live_plan).
+        # Windows open first, in target order, so each snapshots its
+        # server's series and agent before this push.
+        opening = (tails < now) | (state.plan_end[idx] == cache.base)
+        for j in _positions(opening.tolist(), True):
+            server = targets[j]
+            if server._plan is not None:
+                server._close_plan()
+            server._open_plan(int(handled[j]))
         # Acknowledgement closed form, all servers at once.  Each numpy op
         # is elementwise over independent slots, so the arithmetic per slot
         # is the same sequence of scalar operations submit() performs.
         handlings = cache.handlings
-        acks = np.maximum(state.chain_tail[idx], now) + handlings
+        acks = np.maximum(tails, now) + handlings
         state.chain_tail[idx] = acks
-        handled = state.handled[idx] + 1
+        handled += 1
         state.handled[idx] = handled
-        state.reserve()
-        if cache.window_rows != state.window_rows:
-            cache.rebase(state)
         at = state.plan_end[idx]
         state.append_rows(idx, at, acks, handlings)
         request = PushRequest(worker, nbytes, latch, now)
         deque(map(list.append, cache.requests, repeat(request, len(targets))), 0)
-        acks_l = acks.tolist()
-        handlings_l = cache.handlings_l
-        # Windows open first, in target order (each schedules its wake-up),
-        # so each snapshots its server's series and agent before this push.
-        for j in _positions((at == cache.base).tolist(), True):
-            targets[j]._open_plan(acks_l[j], int(handled[j]) - 1)
         # Each request's point goes in before its report, whose flushed mean
         # lands in the same series — the order every other commit path has.
-        deque(map(list.append, cache.times, acks_l), 0)
-        deque(map(list.append, cache.values, handlings_l), 0)
+        self.server_bpt.append_many(cache.bpt_slots, acks, handlings)
+        acks_l = acks.tolist()
+        handlings_l = cache.handlings_l
         reporting = (handled % (self.active_worker_count() or 1) == 0).tolist()
         for j in _positions(reporting, True):
             server = targets[j]

@@ -24,8 +24,11 @@ this at two levels:
   whole backlog at once and sleeps until the window's end on a single
   wake-up event.
 
-A 1,000-worker iteration that used to cost W×S heap pops per server
-collapses to one wake-up pop per server per iteration.
+An eager window schedules no wake-up at all: nothing has to happen at its
+end unless a request queues behind it.  It is retired lazily by the next
+commit, enqueue or rollback that finds its last acknowledgement in the past.
+A 1,000-worker iteration that used to cost W×S heap pops per server costs
+none on the server side.
 
 Quiescence can break before a window elapses — a kill-restart, an elastic
 membership change (which moves the report stride every server samples), a
@@ -199,15 +202,22 @@ class _BatchPlan:
     blocks; the plan holds the pre-window snapshot of every observable the
     commits touched, so the window can be rolled back and its delivered
     prefix replayed deterministically.
+
+    Logical events: per-request stepping spends k+1 events on a window of k
+    requests (the pop that feeds the first request and k handling
+    timeouts), and a coalesced window accounts the same k+1.  Every commit
+    credits one to ``env.coalesced_count``.  The remaining event is the
+    window's end: a physical pop when the window has a wake-up, otherwise
+    one credit given when the eager window opens.  A batch window is fed by
+    one physical queue pop and ends on its wake-up, so its commits credit
+    only k-1.
     """
 
     __slots__ = ("private", "reported", "wake", "wake_id", "handled_before",
-                 "series_len_before", "agent_state", "flushes",
-                 "origin_physical")
+                 "series_len_before", "agent_state", "flushes")
 
     def __init__(self, handled_before: int, series_len_before: int,
-                 agent_state: Tuple[List[float], int, int],
-                 origin_physical: int) -> None:
+                 agent_state: Tuple[List[float], int, int]) -> None:
         #: Rows whose acknowledgement is not a contribution to a shared
         #: latch, mapped to the heap id of their private acknowledgement
         #: event, or to None when nothing was published (the event had
@@ -218,6 +228,9 @@ class _BatchPlan:
         #: replays delivered entries with the stride decision made at
         #: commit time, not the stride in effect at rollback time.
         self.reported: Set[int] = set()
+        #: The wake-up at the window's last acknowledgement: always set for
+        #: a batch window (the server process sleeps on it), set for an
+        #: eager window only once requests queue behind it (_arm_wake).
         self.wake: Optional[Event] = None
         self.wake_id = -1
         self.handled_before = handled_before
@@ -227,14 +240,6 @@ class _BatchPlan:
         #: a delta, not a snapshot — other agents charge the shared ledger
         #: concurrently).
         self.flushes = 0
-        #: Physical events that fed this window from the store: 1 for a
-        #: window the server process popped off its queue, 0 for a window
-        #: opened by an eager submit-side commit.  The logical total of a
-        #: fully delivered window of k requests is k+1 either way, so a
-        #: window of k entries has k - origin_physical logical events
-        #: accounted to ``env.coalesced_count`` (re-arm adjustments are
-        #: tracked directly on the environment).
-        self.origin_physical = origin_physical
 
 
 class ParameterServer:
@@ -362,17 +367,17 @@ class ParameterServer:
     def _enqueue(self, request: PushRequest) -> None:
         """Queue a request, preserving FIFO order against any open window.
 
-        A parked server with an open plan is logically *busy* until the
-        plan's in-flight acknowledgement: feeding its parked getter now
-        would start the next window early, so the request is held in the
-        queue and the window's wake-up feeds the getter when due (see
-        :meth:`_on_wake`).
+        A parked server with a live window is logically *busy* until the
+        window's last acknowledgement: feeding its parked getter now would
+        start the next window early, so the request is held in the queue and
+        the window's wake-up feeds the getter when due (see :meth:`_on_wake`).
         """
         queue = self.queue
         if queue.has_getters:
             self._set_accepting(False)
-            if self._plan is not None:
+            if self._live_plan() is not None:
                 queue.hold(request)
+                self._arm_wake()
                 return
         queue.push(request)
 
@@ -393,14 +398,9 @@ class ParameterServer:
         departing worker's requests like any other queued push.
         """
         _, queued = self._rollback_plan(self.env.now, keep_in_flight=True)
-        queue = self.queue
-        queued.extend(queue.drain())
+        queued.extend(self.queue.drain())
         keep = [request for request in queued if request.worker != worker]
-        queue.requeue_front(keep)
-        if keep:
-            # The survivors wait behind the window's in-flight request; the
-            # wake-up will feed them to the parked server process when due.
-            self._set_accepting(False)
+        self._requeue_front(keep)
         return len(queued) - len(keep)
 
     def pending_request_count(self) -> int:
@@ -431,8 +431,10 @@ class ParameterServer:
             self.queue.requeue_front(queued)
             # The retained in-flight entry is still being handled: the
             # server must not pick the requeued tail up (or accept eager
-            # commits ahead of it) before the in-flight acknowledgement.
+            # commits ahead of it) before the in-flight acknowledgement,
+            # where the window's wake-up feeds them to the server process.
             self._set_accepting(False)
+            self._arm_wake()
 
     def on_cohort_change(self) -> None:
         """Worker membership changed: re-plan any committed window.
@@ -634,29 +636,56 @@ class ParameterServer:
                     self._recovery_handler(self)
 
     # -- coalesced windows ---------------------------------------------------------
-    def _open_plan(self, first_ack: float, handled_before: Optional[int] = None) -> _BatchPlan:
-        """Open a fresh eager window ending (for now) at ``first_ack``.
+    def _open_plan(self, handled_before: Optional[int] = None) -> _BatchPlan:
+        """Open a fresh eager window for a commit at the current instant.
 
-        The wake-up event is scheduled *before* the first acknowledgement so
-        that at the window's final instant the server's bookkeeping runs
-        first, then the last worker — the same callback order per-request
-        stepping produces.  Its callback (:meth:`_on_wake`) either closes the
-        window or re-arms at the new end if commits extended it meanwhile.
+        The window schedules no wake-up (see :meth:`_arm_wake` for when it
+        needs one) and is retired lazily (:meth:`_live_plan`).  The logical
+        event its end stands for is credited here, up front, as each commit
+        credits its own.
         """
-        env = self.env
         if handled_before is None:
             handled_before = int(self._state.handled[self._slot])
         plan = _BatchPlan(
             handled_before=handled_before,
             series_len_before=len(self._bpt_series),
-            agent_state=self.agent.snapshot_report_state(),
-            origin_physical=0)
+            agent_state=self.agent.snapshot_report_state())
+        self._plan = plan
+        self.env.coalesced_count += 1
+        return plan
+
+    def _live_plan(self) -> Optional[_BatchPlan]:
+        """The open window, or None after retiring one that has ended.
+
+        A window ends strictly after its last acknowledgement: a request
+        arriving on that very instant joins the window, as it would find the
+        stepping server still busy with its last request.
+        """
+        plan = self._plan
+        if plan is not None and self._state.chain_tail[self._slot] < self.env._now:
+            self._close_plan()
+            return None
+        return plan
+
+    def _arm_wake(self) -> None:
+        """Schedule the eager window's wake-up at its last acknowledgement.
+
+        Needed only once requests are held in the queue behind the window:
+        the wake-up feeds them to the parked server process (:meth:`_on_wake`).
+        No eager commit can extend the window afterwards (holding a request
+        stops the server accepting them), so the wake-up fires at the
+        window's end.  Its pop now stands for that end, so the credit
+        :meth:`_open_plan` gave is withdrawn.
+        """
+        plan = self._plan
+        if plan is None or plan.wake is not None:
+            return
+        env = self.env
         wake = Event(env)
         wake.callbacks.append(self._on_wake)
         plan.wake = wake
-        plan.wake_id = env.schedule_at(wake, first_ack)
-        self._plan = plan
-        return plan
+        plan.wake_id = env.schedule_at(wake, float(self._state.chain_tail[self._slot]))
+        env.coalesced_count -= 1
 
     def _close_plan(self) -> None:
         """Forget the open window; its rows become free for the next one."""
@@ -691,7 +720,7 @@ class ParameterServer:
         now = env._now
         state = self._state
         slot = self._slot
-        plan = self._plan
+        plan = self._live_plan()
         tail = float(state.chain_tail[slot])
         start = tail if tail > now else now
         contention = node.contention
@@ -706,7 +735,7 @@ class ParameterServer:
                 delay_fraction=fraction)
         ack = start + handling
         if plan is None:
-            plan = self._open_plan(ack)
+            plan = self._open_plan()
         requests = state.plan_requests[slot]
         row = len(requests)
         state.reserve()
@@ -724,28 +753,17 @@ class ParameterServer:
         env.coalesced_count += 1
 
     def _on_wake(self, wake: Event) -> None:
-        """Wake-up callback of an eagerly opened window.
+        """Wake-up callback of an eager window that requests queued behind.
 
-        Closes the window when its last acknowledgement is due; re-arms at
-        the new end when eager commits extended the window past the instant
-        this wake-up was scheduled for (the replacement heap entry cancels
-        one logical-event credit, keeping the window's accounting at k+1).
-        Closing also feeds any rollback-requeued backlog to the parked
-        server process — the backlog had to wait for the in-flight
-        acknowledgement (FIFO), and this wake-up marks exactly that instant.
+        Fires at the window's last acknowledgement (:meth:`_arm_wake`),
+        closes the window and feeds the held backlog to the parked server
+        process — the backlog had to wait for that acknowledgement (FIFO),
+        and this wake-up marks exactly that instant.  A wake-up left
+        scheduled by a rollback that found its window fully delivered closes
+        nothing and still feeds the backlog.
         """
-        env = self.env
         plan = self._plan
         if plan is not None and plan.wake is wake:
-            # The chain tail is the open window's last acknowledgement.
-            end = float(self._state.chain_tail[self._slot])
-            if end > env._now:
-                new_wake = Event(env)
-                new_wake.callbacks.append(self._on_wake)
-                plan.wake = new_wake
-                plan.wake_id = env.schedule_at(new_wake, end)
-                env.coalesced_count -= 1
-                return
             self._close_plan()
         queue = self.queue
         if queue and queue.has_getters:
@@ -754,7 +772,7 @@ class ParameterServer:
             # would have been busy handling and polled synchronously), so it
             # is cancelled out of the logical-event accounting.
             self._set_accepting(False)
-            env.coalesced_count -= 1
+            self.env.coalesced_count -= 1
             queue.kick()
 
     def _commit_batch(self, first: PushRequest) -> Event:
@@ -813,8 +831,7 @@ class ParameterServer:
         plan = _BatchPlan(
             handled_before=handled,
             series_len_before=len(self._bpt_series),
-            agent_state=agent.snapshot_report_state(),
-            origin_physical=1)
+            agent_state=agent.snapshot_report_state())
         plan.wake = wake
         plan.wake_id = env.schedule_at(wake, chain[-1])
         bpt_series = self._bpt_series
@@ -845,10 +862,11 @@ class ParameterServer:
         handling started at or before ``now``): with ``keep_in_flight`` its
         committed outcome is preserved — only the report decision is remade
         under the stride now in effect, since in per-request stepping that
-        decision would happen at the future acknowledgement instant — and the
-        wake-up moves to its acknowledgement; otherwise it is rescinded with
-        the rest and handed back as the first returned value.  Later entries
-        never started and are returned for queue-front reinsertion.
+        decision would happen at the future acknowledgement instant — and a
+        scheduled wake-up moves to its acknowledgement; otherwise it is
+        rescinded with the rest and handed back as the first returned value.
+        Later entries never started and are returned for queue-front
+        reinsertion.
 
         Observables are rewound to the pre-window snapshot and the kept
         prefix is replayed with its recorded decisions, so the series, the
@@ -861,8 +879,9 @@ class ParameterServer:
         state = self._state
         slot = self._slot
         if now >= state.chain_tail[slot]:
-            # Fully delivered: nothing speculative left to unwind.  (The
-            # window's wake-up stays scheduled and closes it as a no-op.)
+            # Fully delivered: nothing speculative left to unwind.  (A
+            # scheduled wake-up stays and pops as a no-op close; an eager
+            # window without one had its end credited when it opened.)
             self._close_plan()
             return None, []
         env = self.env
@@ -905,17 +924,24 @@ class ParameterServer:
             if row in reported_rows:
                 self._report(plan, row, handlings[row], acks[row])
         # 4. Re-commit (or drop) the in-flight entry and move the wake-up.
-        env.discard_scheduled(plan.wake_id)
-        wake = plan.wake
-        wake._ok = None
-        wake._value = PENDING
         # Logical-event credits for the retained work: every kept entry plus
-        # the window's park/pop, minus what fed the window physically.
-        env.coalesced_count += split + 1 - count
+        # the window's end, minus what fed the window physically.  An eager
+        # window without a wake-up was credited its end when it opened; when
+        # the window closes here that credit goes with it.
+        credits = split + 1 - count
+        wake = plan.wake
+        if wake is not None:
+            env.discard_scheduled(plan.wake_id)
+            wake._ok = None
+            wake._value = PENDING
+        elif not keep_in_flight:
+            credits -= 1
+        env.coalesced_count += credits
         if keep_in_flight:
             in_ack = acks[split]
             in_handling = handlings[split]
-            plan.wake_id = env.schedule_at(wake, in_ack)
+            if wake is not None:
+                plan.wake_id = env.schedule_at(wake, in_ack)
             handled += 1
             bpt_series.append(in_ack, in_handling)
             stride_provider = self._report_stride_provider

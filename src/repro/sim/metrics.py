@@ -14,11 +14,12 @@ import math
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-__all__ = ["MetricPoint", "MetricSeries", "MetricsRecorder", "window_start"]
+__all__ = ["ColumnSeries", "MetricPoint", "MetricSeries", "MetricsRecorder",
+           "SeriesColumns", "window_start"]
 
 
 def window_start(window_s: float, now: float) -> float:
@@ -88,23 +89,6 @@ class MetricSeries:
         times.append(time if type(time) is float else float(time))
         self._values.append(value)
 
-    def extend(self, times: Sequence[float], values: Sequence[float]) -> None:
-        """Append a batch of observations; times must be non-decreasing.
-
-        Bulk variant of :meth:`append` for coalesced commits (a server
-        publishing a whole window of handling times at once).
-        """
-        if len(times) == 0:
-            return
-        own_times = self._times
-        if own_times and times[0] < own_times[-1]:
-            raise ValueError(
-                f"observations must be appended in time order "
-                f"({times[0]} < {own_times[-1]})"
-            )
-        own_times.extend(float(t) for t in times)
-        self._values.extend(float(v) for v in values)
-
     def _sync_prefix(self) -> List[float]:
         """Extend the prefix sums over any values appended since last sync."""
         prefix = self._prefix
@@ -127,20 +111,6 @@ class MetricSeries:
                 prefix.append(running)
         return prefix
 
-    def buffers(self) -> Tuple[List[float], List[float]]:
-        """The live ``(times, values)`` lists, for trusted hot-path appends.
-
-        The vectorized push fan-out appends one observation per server per
-        iteration; going through :meth:`append` costs a method call and a
-        monotonicity check per observation.  Callers appending through these
-        handles must keep times non-decreasing themselves (coalesced commits
-        do — acknowledgements advance along each server's chain, and
-        rollbacks restore monotonicity via :meth:`truncate` before any
-        replay).  The lazy prefix machinery is unaffected: it reads
-        ``_values`` on the next aggregate query.
-        """
-        return self._times, self._values
-
     def truncate(self, length: int) -> None:
         """Drop every observation past the first ``length``.
 
@@ -154,10 +124,6 @@ class MetricSeries:
         del self._times[length:]
         del self._values[length:]
         del self._prefix[length + 1:]
-
-    def points(self) -> List[MetricPoint]:
-        """All observations as :class:`MetricPoint` objects."""
-        return [MetricPoint(t, v) for t, v in zip(self._times, self._values)]
 
     def times(self) -> List[float]:
         """Observation times."""
@@ -224,6 +190,219 @@ class MetricSeries:
         return self._sync_prefix()[-1]
 
 
+class SeriesColumns:
+    """Many append-only series kept in shared flat float64 column blocks.
+
+    The columnar storage behind :class:`ColumnSeries`, for a metric with one
+    series per node and a producer that appends to many of them at once:
+    the push fan-out records one ``server_bpt`` point on every server per
+    call, and :meth:`append_many` writes them all with one scatter per
+    column.  Series ``s`` owns the ``rows`` positions starting at
+    ``s * rows`` of each block — ``times``, ``values`` and ``sums`` (the
+    running totals behind the windowed aggregates, filled lazily by
+    :class:`ColumnSeries`) — and its points end at ``end[s]``.  When a
+    series fills its range every range grows fourfold; the copy touches
+    only the filled rows, so unused rows cost address space, not memory.
+    """
+
+    _COLUMNS = ("times", "values", "sums")
+    #: Rows per series before the first growth.
+    _INITIAL_ROWS = 256
+    _GROWTH = 4
+
+    def __init__(self, capacity: int = 0) -> None:
+        capacity = max(int(capacity), 4)
+        self.rows = self._INITIAL_ROWS
+        for name in self._COLUMNS:
+            setattr(self, name, np.zeros(capacity * self.rows, dtype=np.float64))
+        self.end = np.arange(capacity, dtype=np.int64) * self.rows
+        # Upper bound on every series' length, kept without a reduction per
+        # append: it only grows until it reaches ``rows``, and is then
+        # recomputed exactly.
+        self._longest = 0
+        self._size = 0
+
+    def add_series(self) -> int:
+        """Claim the next series slot (growing the blocks when full)."""
+        slot = self._size
+        capacity = len(self.end)
+        if slot >= capacity:
+            self._resize(max(capacity * 2, slot + 1), self.rows)
+        self._size = slot + 1
+        return slot
+
+    def _resize(self, new_slots: int, new_rows: int) -> None:
+        """Re-lay the blocks for ``new_slots`` series of ``new_rows`` rows."""
+        slots = len(self.end)
+        rows = self.rows
+        lengths = self.end - np.arange(slots, dtype=np.int64) * rows
+        filled = int(lengths.max())
+        for name in self._COLUMNS:
+            block = getattr(self, name).reshape(slots, rows)
+            grown = np.zeros((new_slots, new_rows), dtype=np.float64)
+            grown[:slots, :filled] = block[:, :filled]
+            setattr(self, name, grown.reshape(-1))
+        self.rows = new_rows
+        self.end = np.arange(new_slots, dtype=np.int64) * new_rows
+        self.end[:slots] += lengths
+
+    def reserve(self) -> None:
+        """Make room for one more point in every series."""
+        if self._longest >= self.rows:
+            slots = len(self.end)
+            self._longest = int((self.end - np.arange(slots, dtype=np.int64) * self.rows).max())
+            if self._longest >= self.rows:
+                self._resize(slots, self.rows * self._GROWTH)
+        self._longest += 1
+
+    def append(self, slot: int, time: float, value: float) -> None:
+        """Append one point to series ``slot`` (the scalar :meth:`append_many`)."""
+        at = int(self.end[slot])
+        length = at - slot * self.rows
+        if length >= self.rows:
+            self._resize(len(self.end), self.rows * self._GROWTH)
+            at = int(self.end[slot])
+        self.times[at] = time
+        self.values[at] = value
+        self.end[slot] = at + 1
+        if length >= self._longest:
+            self._longest = length + 1
+
+    def append_many(self, slots: np.ndarray, times: np.ndarray,
+                    values: np.ndarray) -> None:
+        """Append one point to each series in ``slots`` (distinct slots).
+
+        Trusted hot path: times must not precede each series' last point
+        (coalesced commits append acknowledgements in chain order).
+        """
+        self.reserve()
+        at = self.end[slots]
+        self.times[at] = times
+        self.values[at] = values
+        self.end[slots] = at + 1
+
+
+class ColumnSeries:
+    """A :class:`MetricSeries` whose points live in a :class:`SeriesColumns` block.
+
+    Same read and write API and the same results, bit for bit: window
+    bounds come from ``searchsorted``, which places a time exactly where
+    ``bisect_right`` does, and the running totals are accumulated strictly
+    left to right (``np.cumsum`` seeded with the last synced total), as
+    :meth:`MetricSeries._sync_prefix` does.
+    """
+
+    __slots__ = ("_cols", "_slot", "_synced")
+
+    def __init__(self, columns: SeriesColumns) -> None:
+        self._cols = columns
+        self._slot = columns.add_series()
+        # Points whose running total in ``sums`` is current.
+        self._synced = 0
+
+    @property
+    def slot(self) -> int:
+        """This series' slot in its :class:`SeriesColumns` block."""
+        return self._slot
+
+    def _span(self) -> Tuple[SeriesColumns, int, int]:
+        """The block and this series' ``[start, stop)`` positions in it."""
+        cols = self._cols
+        return cols, self._slot * cols.rows, int(cols.end[self._slot])
+
+    def __len__(self) -> int:
+        cols = self._cols
+        return int(cols.end[self._slot]) - self._slot * cols.rows
+
+    def append(self, time: float, value: float) -> None:
+        """Append an observation; times must be non-decreasing."""
+        cols, start, stop = self._span()
+        if stop > start:
+            last = float(cols.times[stop - 1])
+            if time < last:
+                raise ValueError(
+                    f"observations must be appended in time order ({time} < {last})")
+        cols.append(self._slot, time, value)
+
+    def truncate(self, length: int) -> None:
+        """Drop every observation past the first ``length`` (see :meth:`MetricSeries.truncate`)."""
+        cols, start, stop = self._span()
+        if length < 0 or length > stop - start:
+            raise ValueError(f"cannot truncate series of {stop - start} to {length}")
+        cols.end[self._slot] = start + length
+        if length < self._synced:
+            self._synced = length
+
+    def _total_of_first(self, count: int) -> float:
+        """Sum of the first ``count`` values, after syncing the running totals."""
+        if count == 0:
+            return 0.0
+        cols, start, stop = self._span()
+        synced = self._synced
+        if synced < count:
+            block = np.empty(stop - start - synced + 1, dtype=np.float64)
+            block[0] = cols.sums[start + synced - 1] if synced else 0.0
+            block[1:] = cols.values[start + synced:stop]
+            cols.sums[start + synced:stop] = np.cumsum(block)[1:]
+            self._synced = stop - start
+        return float(cols.sums[start + count - 1])
+
+    def times(self) -> List[float]:
+        """Observation times."""
+        cols, start, stop = self._span()
+        return cols.times[start:stop].tolist()
+
+    def values(self) -> List[float]:
+        """Observation values."""
+        cols, start, stop = self._span()
+        return cols.values[start:stop].tolist()
+
+    def last(self) -> Optional[MetricPoint]:
+        """Most recent observation, or None when empty."""
+        cols, start, stop = self._span()
+        if stop == start:
+            return None
+        return MetricPoint(float(cols.times[stop - 1]), float(cols.values[stop - 1]))
+
+    def _bounds(self, start: float, end: float) -> Tuple[int, int]:
+        """Positions of the half-open interval ``(start, end]`` in the series."""
+        cols, first, stop = self._span()
+        times = cols.times[first:stop]
+        return (int(times.searchsorted(start, side="right")),
+                int(times.searchsorted(end, side="right")))
+
+    def window(self, start: float, end: float) -> List[float]:
+        """Values observed in ``(start, end]`` (see :meth:`MetricSeries.window`)."""
+        lo, hi = self._bounds(start, end)
+        cols = self._cols
+        first = self._slot * cols.rows
+        return cols.values[first + lo:first + hi].tolist()
+
+    def window_stats(self, start: float, end: float) -> Tuple[int, float]:
+        """(count, sum) of the values in ``(start, end]`` without copying."""
+        lo, hi = self._bounds(start, end)
+        if hi <= lo:
+            return 0, 0.0
+        return hi - lo, self._total_of_first(hi) - self._total_of_first(lo)
+
+    window_mean = MetricSeries.window_mean
+
+    def mean(self) -> Optional[float]:
+        """Mean over the whole series, or None when empty."""
+        count = len(self)
+        if not count:
+            return None
+        return self._total_of_first(count) / count
+
+    def total(self) -> float:
+        """Sum over the whole series."""
+        return self._total_of_first(len(self))
+
+
+#: What :meth:`MetricsRecorder.series` returns.
+Series = Union[MetricSeries, ColumnSeries]
+
+
 class MetricsRecorder:
     """Central sink for simulation metrics.
 
@@ -234,21 +413,40 @@ class MetricsRecorder:
     GLOBAL = ""
 
     def __init__(self) -> None:
-        self._series: Dict[Tuple[str, str], MetricSeries] = {}
+        self._series: Dict[Tuple[str, str], Series] = {}
         self._counters: Dict[Tuple[str, str], float] = defaultdict(float)
         self._events: List[Tuple[float, str, str, str]] = []
         # Tags per metric name, in first-seen order.  Kept incrementally so
         # per-tag queries (issued every control interval) do not rescan every
         # series key ever recorded.
         self._tags_by_name: Dict[str, List[str]] = {}
+        # Metric names whose series share one column block (use_columns).
+        self._columns: Dict[str, SeriesColumns] = {}
 
-    def _get_or_create(self, name: str, tag: str) -> MetricSeries:
+    def _get_or_create(self, name: str, tag: str) -> Series:
         key = (name, tag)
         series = self._series.get(key)
         if series is None:
-            series = self._series[key] = MetricSeries()
+            columns = self._columns.get(name)
+            series = MetricSeries() if columns is None else ColumnSeries(columns)
+            self._series[key] = series
             self._tags_by_name.setdefault(name, []).append(tag)
         return series
+
+    def use_columns(self, name: str, capacity: int = 0) -> SeriesColumns:
+        """Keep every series of metric ``name`` in one :class:`SeriesColumns` block.
+
+        Returns the block, so a producer can append to many series at once
+        (:meth:`SeriesColumns.append_many`); each series' slot is
+        :attr:`ColumnSeries.slot`.  Repeat calls return the same block.  Must
+        be called before the first series of ``name`` exists.
+        """
+        columns = self._columns.get(name)
+        if columns is None:
+            if name in self._tags_by_name:
+                raise ValueError(f"metric {name!r} already has list-backed series")
+            columns = self._columns[name] = SeriesColumns(capacity)
+        return columns
 
     # -- recording ----------------------------------------------------------
     def record(self, name: str, value: float, time: float, tag: str = GLOBAL) -> None:
@@ -264,7 +462,7 @@ class MetricsRecorder:
         self._events.append((float(time), kind, tag, detail))
 
     # -- queries ------------------------------------------------------------
-    def series(self, name: str, tag: str = GLOBAL) -> MetricSeries:
+    def series(self, name: str, tag: str = GLOBAL) -> Series:
         """Return the series for ``(name, tag)`` (empty if never recorded)."""
         return self._get_or_create(name, tag)
 

@@ -12,7 +12,7 @@ from repro.ml.losses import bce_with_logits, sigmoid
 from repro.ml.metrics import auc
 from repro.sim.engine import Environment
 from repro.sim.hardware import CPU_WORKER_16C, GPU_P100, GPU_V100
-from repro.sim.metrics import MetricSeries
+from repro.sim.metrics import ColumnSeries, MetricSeries, SeriesColumns
 
 _SETTINGS = settings(max_examples=40, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -201,6 +201,69 @@ def test_metric_series_mean_matches_numpy(values):
     for index, value in enumerate(values):
         series.append(float(index), value)
     assert series.mean() == pytest.approx(float(np.mean(values)), rel=1e-9, abs=1e-9)
+
+
+_COLUMN_SERIES = 6  # more than a fresh block's slots: adding them grows it
+_times_steps = st.floats(min_value=0.0, max_value=5.0)
+_values = st.floats(min_value=-1000, max_value=1000)
+_series_ops = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.integers(0, _COLUMN_SERIES - 1), _times_steps, _values),
+    # Enough points per series to grow the rows past their initial size.
+    st.tuples(st.just("bulk"), st.integers(1, 300), _times_steps, _values),
+    st.tuples(st.just("truncate"), st.integers(0, _COLUMN_SERIES - 1),
+              st.floats(min_value=0.0, max_value=1.0)),
+    st.tuples(st.just("query"), st.floats(min_value=-5, max_value=2000),
+              st.floats(min_value=0, max_value=2000)),
+), max_size=25)
+
+
+def _series_answers(series, start, end):
+    return (len(series), series.window(start, end), series.window_stats(start, end),
+            series.window_mean(start, end), series.mean(), series.total(),
+            series.last())
+
+
+@_SETTINGS
+@given(ops=_series_ops)
+def test_column_series_matches_list_series_bit_for_bit(ops):
+    # MetricSeries is the reference: every answer must be equal, not close.
+    columns = SeriesColumns()
+    fast = [ColumnSeries(columns) for _ in range(_COLUMN_SERIES)]
+    slow = [MetricSeries() for _ in range(_COLUMN_SERIES)]
+    slots = np.array([series.slot for series in fast])
+    clock = [0.0] * _COLUMN_SERIES
+    for op in ops:
+        kind = op[0]
+        if kind == "append":
+            _, index, step, value = op
+            clock[index] += step
+            fast[index].append(clock[index], value)
+            slow[index].append(clock[index], value)
+        elif kind == "bulk":
+            _, count, step, value = op
+            for repeat in range(count):
+                clock = [max(clock) + step] * _COLUMN_SERIES
+                values = np.arange(_COLUMN_SERIES) * value + repeat
+                columns.append_many(slots, np.array(clock), values)
+                for series, time, point in zip(slow, clock, values.tolist()):
+                    series.append(time, point)
+        elif kind == "truncate":
+            _, index, fraction = op
+            length = int(len(slow[index]) * fraction)
+            fast[index].truncate(length)
+            slow[index].truncate(length)
+            times = slow[index].times()
+            clock[index] = times[-1] if times else 0.0
+        else:
+            _, start, width = op
+            for fast_series, slow_series in zip(fast, slow):
+                assert _series_answers(fast_series, start, start + width) == \
+                    _series_answers(slow_series, start, start + width)
+    for fast_series, slow_series in zip(fast, slow):
+        assert fast_series.times() == slow_series.times()
+        assert fast_series.values() == slow_series.values()
+        assert _series_answers(fast_series, -np.inf, np.inf) == \
+            _series_answers(slow_series, -np.inf, np.inf)
 
 
 # ----------------------------------------------------------------------------- hardware

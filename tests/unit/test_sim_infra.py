@@ -8,7 +8,7 @@ from repro.sim.contention import ConstantContention, NoContention
 from repro.sim.engine import Environment
 from repro.sim.failures import ErrorCode, FailureInjector, NodeFailure, is_retryable
 from repro.sim.hardware import CPU_SERVER_4C, CPU_WORKER_16C
-from repro.sim.metrics import MetricSeries, MetricsRecorder
+from repro.sim.metrics import ColumnSeries, MetricSeries, MetricsRecorder
 from repro.sim.network import NetworkModel, parameter_bytes, ring_allreduce_time
 from repro.sim.scheduler import BusyPeriod, ClusterScheduler, PendingTimeModel
 
@@ -252,6 +252,24 @@ def test_metric_series_prefix_aggregates():
         series.append(float(index), value)
     assert series.total() == pytest.approx(sum(values))
     assert series.mean() == pytest.approx(sum(values) / len(values))
+
+
+def test_metrics_recorder_use_columns_shares_one_block_per_name():
+    recorder = MetricsRecorder()
+    block = recorder.use_columns("bpt")
+    assert recorder.use_columns("bpt") is block
+    recorder.record("bpt", 2.0, 1.0, tag="s1")
+    series = recorder.series("bpt", tag="s0")
+    series.append(0.5, 4.0)
+    assert isinstance(series, ColumnSeries)
+    assert recorder.tags("bpt") == ["s0", "s1"]
+    assert recorder.per_tag_window_means("bpt", 0.0, 1.0) == {"s0": 4.0, "s1": 2.0}
+    assert block.end[series.slot] - series.slot * block.rows == 1
+    with pytest.raises(ValueError):
+        series.append(0.25, 1.0)  # out of time order
+    recorder.record("other", 1.0, 0.0)
+    with pytest.raises(ValueError):
+        recorder.use_columns("other")  # its series are already list-backed
 
 
 def test_metrics_recorder_tags_index_tracks_first_seen():
