@@ -114,6 +114,12 @@ ND_1000W_BUDGET_S = 60.0
 ND_1000W_LOGICAL_EVENTS = 4_834_110
 ND_1000W_PHYSICAL_CEILING = 60_000
 ND_1000W_WORKER_DIGEST = "a9c9f12837636c00"
+#: Server windows that needed a record of their rare facts: 3,996 with a
+#: report and 1,332 with a wake-up.  Twice per server, a worker status change
+#: (the run's kill-restarts) rolls a window back; its requeued tail waits for
+#: a wake-up and is then committed as a batch window, which has one too.
+#: Every other window of the run's 333-wide fan-outs is nothing but its rows.
+ND_1000W_WINDOW_RECORDS = 5_328
 
 
 def worker_series_digest(metrics) -> str:
@@ -152,6 +158,9 @@ def test_perf_scale_sweep_1000w():
     assert events == ND_1000W_LOGICAL_EVENTS
     assert nd.engine_events_physical < ND_1000W_PHYSICAL_CEILING
     assert worker_series_digest(nd.metrics) == ND_1000W_WORKER_DIGEST
+    assert nd.server_window_records <= (nd.server_window_reports
+                                        + nd.server_window_wakes)
+    assert nd.server_window_records == ND_1000W_WINDOW_RECORDS
 
     reporter = PerfReporter()
     reporter.add("sweep_nd_1000w", wall_s=wall, events_processed=float(events),

@@ -10,10 +10,8 @@ can kill/relaunch its nodes and reconfigure backup workers.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import repeat
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -96,6 +94,12 @@ class PSRunResult:
     engine_events_physical: int = 0
     # Always 0; kept only because perfbench/workloads.py still reads it.
     engine_events_folded: int = 0
+    # Coalesced server windows that needed a record (a report, a private
+    # acknowledgement or a wake-up), the agent reports their commits made
+    # and the wake-ups they scheduled (all 0 with coalescing off).
+    server_window_records: int = 0
+    server_window_reports: int = 0
+    server_window_wakes: int = 0
     # Serving-tier SLO summary (None unless the scenario attached serving
     # traffic): per-tenant goodput, p50/p99 latency, shed counts by reason.
     serving: Optional[Dict[str, object]] = None
@@ -113,18 +117,6 @@ class PSRunResult:
         return self.framework_overhead_s / self.job_completion_time_s
 
 
-def _positions(values: List, target) -> Iterator[int]:
-    """Indices of ``target`` in ``values``, in order.
-
-    Found by C-level scans (``list.count``, ``list.index``): the fan-out
-    looks for the few servers that open a window or report among hundreds.
-    """
-    index = -1
-    for _ in range(values.count(target)):
-        index = values.index(target, index + 1)
-        yield index
-
-
 class _FanoutTargets:
     """What :meth:`PSTrainingJob.push_fanout` reuses across calls to one target list.
 
@@ -134,8 +126,13 @@ class _FanoutTargets:
     handling time of each target is too.
     """
 
+    #: Fan-outs at least this wide hand the latch their ack array: its
+    #: numpy maximum costs about 2 µs at any width, while a float list's
+    #: costs about 0.05 µs per server plus the list conversion.
+    ARRAY_ACKS_FROM = 32
+
     __slots__ = ("targets", "nbytes", "idx", "bpt_slots", "handlings",
-                 "handlings_l", "requests", "base", "window_rows")
+                 "handlings_l", "base", "window_rows", "array_acks")
 
     def __init__(self, targets: List[ParameterServer], nbytes: float,
                  state: ServerStateArrays, per_byte_cost_s: float) -> None:
@@ -147,7 +144,7 @@ class _FanoutTargets:
         self.handlings_l = self.handlings.tolist()
         self.bpt_slots = np.fromiter((server._bpt_series.slot for server in targets),
                                      dtype=np.intp, count=len(targets))
-        self.requests = [state.plan_requests[server._slot] for server in targets]
+        self.array_acks = len(targets) >= self.ARRAY_ACKS_FROM
         self.rebase(state)
 
     def rebase(self, state: ServerStateArrays) -> None:
@@ -719,8 +716,9 @@ class PSTrainingJob:
         commits all S requests of one iteration with a handful of numpy
         operations over :class:`ServerStateArrays`: one scatter per window
         column writes every server's entry, and one per ``server_bpt``
-        column records every server's point.  Python runs only for the few
-        servers that open a window or report on this call.
+        column records every server's point.  Opening and retiring windows
+        are array writes too; Python runs only for the few servers that
+        report on this call.
         The shared latch is armed once with
         :meth:`CountdownEvent.count_down_many_at
         <repro.sim.engine.CountdownEvent.count_down_many_at>`.
@@ -745,40 +743,37 @@ class PSTrainingJob:
         if cache.window_rows != state.window_rows:
             cache.rebase(state)
         tails = state.chain_tail[idx]
-        handled = state.handled[idx]
         # A target opens a window when it has none or its window ended
-        # before now; that one is retired here (see ParameterServer._live_plan).
-        # Windows open first, in target order, so each snapshots its
-        # server's series and agent before this push.
+        # before now (see ParameterServer._window_open): all of them are
+        # retired and reopened at once, each crediting the logical event
+        # its window's end stands for.  Most calls join open windows, and
+        # one memchr over the flags tells.
         opening = (tails < now) | (state.plan_end[idx] == cache.base)
-        for j in _positions(opening.tolist(), True):
-            server = targets[j]
-            if server._plan is not None:
-                server._close_plan()
-            server._open_plan(int(handled[j]))
+        if b"\1" in opening.tobytes():
+            openers = idx[opening]
+            state.retire(openers)
+            env.coalesced_count += len(openers)
+        request_id = state.add_requests([PushRequest(worker, nbytes, latch, now)], now)
         # Acknowledgement closed form, all servers at once.  Each numpy op
         # is elementwise over independent slots, so the arithmetic per slot
         # is the same sequence of scalar operations submit() performs.
         handlings = cache.handlings
         acks = np.maximum(tails, now) + handlings
         state.chain_tail[idx] = acks
-        handled += 1
+        handled = state.handled[idx] + 1
         state.handled[idx] = handled
         at = state.plan_end[idx]
-        state.append_rows(idx, at, acks, handlings)
-        request = PushRequest(worker, nbytes, latch, now)
-        deque(map(list.append, cache.requests, repeat(request, len(targets))), 0)
+        state.append_rows(idx, at, acks, handlings, request_id)
         # Each request's point goes in before its report, whose flushed mean
         # lands in the same series — the order every other commit path has.
         self.server_bpt.append_many(cache.bpt_slots, acks, handlings)
-        acks_l = acks.tolist()
-        handlings_l = cache.handlings_l
-        reporting = (handled % (self.active_worker_count() or 1) == 0).tolist()
-        for j in _positions(reporting, True):
-            server = targets[j]
-            server._report(server._plan, int(at[j] - cache.base[j]),
-                           handlings_l[j], acks_l[j])
-        latch.count_down_many_at(acks_l)
+        reporting = (handled % (self.active_worker_count() or 1) == 0).nonzero()[0]
+        if len(reporting):
+            handlings_l = cache.handlings_l
+            for j in reporting.tolist():
+                targets[j]._report(int(at[j] - cache.base[j]),
+                                   handlings_l[j], float(acks[j]))
+        latch.count_down_many_at(acks if cache.array_acks else acks.tolist())
         env.coalesced_count += len(targets)
         return True
 
@@ -1210,6 +1205,8 @@ class PSTrainingJob:
         # exactly what per-request stepping would have recorded by now.
         for server in self.servers:
             server.finalize_run()
+        # Every window is closed now: release the requests behind them.
+        self.server_state.trim(self.env.now)
         if self.recorder.enabled:
             # Post-finalize depths are mode-invariant (the finalize contract
             # rewinds every committed window to the stop instant), so these
@@ -1259,6 +1256,9 @@ class PSTrainingJob:
             engine_events_scheduled=self.env.scheduled_count,
             engine_events_processed=self.env.processed_count + self.env.coalesced_count,
             engine_events_physical=self.env.processed_count,
+            server_window_records=self.server_state.records_created,
+            server_window_reports=self.server_state.reports,
+            server_window_wakes=self.server_state.wakes,
             # Finalized after the server rewind above, so in-flight counts
             # see exactly the acknowledgements per-request stepping would
             # have delivered by the stop instant (mode-invariant).

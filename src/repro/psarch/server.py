@@ -15,10 +15,11 @@ this at two levels:
 
 * **Eager submit-side commits.**  While the server is idle (parked on its
   queue) an arriving request never touches the queue at all: ``submit``
-  computes the acknowledgement closed-form, appends one entry to the open
-  :class:`_BatchPlan` and publishes the acknowledgement at its future time.
-  The server process stays parked — a full iteration of W pushes costs zero
-  generator resumes and zero store round trips per server.
+  computes the acknowledgement closed-form, writes one row into the open
+  window (:class:`ServerStateArrays`) and publishes the acknowledgement at
+  its future time.  The server process stays parked — a full iteration of
+  W pushes costs zero generator resumes and zero store round trips per
+  server, and a push to every server is one vectorized write per column.
 * **Batch commits.**  When requests did accumulate in the queue (after a
   restart, a rollback or a drain re-route), the server process commits the
   whole backlog at once and sleeps until the window's end on a single
@@ -35,10 +36,13 @@ membership change (which moves the report stride every server samples), a
 worker draining out, or a contention swap.  Every such perturbation rolls the
 uncommitted tail back (:meth:`ParameterServer._rollback_plan`): future
 acknowledgements are rescinded, observable side effects (the ``server_bpt``
-series, the agent's report buffer, the overhead ledger) are rewound to the
-pre-window snapshot and the already-delivered prefix is replayed, and the
-rescinded requests return to the queue front for re-planning.  The golden
-suite pins coalesced and uncoalesced execution to byte-identical traces.
+series, the agent's report buffer, the overhead ledger) are rewound to their
+pre-window state and the already-delivered prefix is replayed, and the
+rescinded requests return to the queue front for re-planning.  That state is
+derived from the window's rows, plus a small record (:class:`_BatchPlan`)
+that only windows with a report, a private acknowledgement or a wake-up
+carry.  The golden suite pins coalesced and uncoalesced execution to
+byte-identical traces.
 """
 
 from __future__ import annotations
@@ -82,29 +86,43 @@ class ServerStateArrays:
     <repro.psarch.job.PSTrainingJob.push_fanout>`) instead of S scalar
     ``submit`` calls.
 
-    The entries of each slot's open window live in flat column blocks of
-    ``window_rows`` rows per slot: entry ``r`` of slot ``s`` sits at
-    position ``plan_base[s] + r`` (``s * window_rows + r``), and the live
-    entries end at ``plan_end[s]``, which is ``plan_base[s]`` while no
-    window is open.  The columns are the entry's acknowledgement time and its handling time.
-    An entry's handling starts at the previous entry's acknowledgement (or
-    at its commit instant, never in the future, for the first one), so the
-    ack column also tells which entries have not started.  The requests
-    themselves sit in one list per slot (``plan_requests``), in the same
-    order: lists keep them visible to the cycle collector, which cannot see
-    into numpy object arrays.  The rare per-entry facts (a report fired, a
-    private acknowledgement event) live on the window's plan.  A window's
-    rows are reused once it closes, so the blocks are sized by the longest
-    open window, not by the run.
+    A window is nothing but its rows.  The rows of each slot live in flat
+    column blocks of ``window_rows`` rows per slot: row ``r`` of slot ``s``
+    sits at position ``plan_base[s] + r`` (``s * window_rows + r``), and the
+    rows end at ``plan_end[s]``; a window is open exactly while
+    ``plan_end[s] > plan_base[s]``.  The columns are the row's
+    acknowledgement time, its handling time and its request id.  A row's
+    handling starts at the previous row's acknowledgement (or at its commit
+    instant, never in the future, for the first one), so the ack column
+    also tells which rows have not started.
+
+    Request ids index one job-level list, ``requests`` (a list keeps the
+    requests visible to the cycle collector, which cannot see into numpy
+    object arrays).  Ids are assigned in commit order, and one fan-out's
+    request is shared by every server it reaches.  When the list has
+    doubled since it was last trimmed, windows that have ended are retired
+    and every id below the first row of the oldest open window — dead by
+    construction — is dropped.
+
+    A window is known by the request id of its first row (:meth:`window_id`):
+    ids are never reused, so opening a new window on a slot changes it.  The
+    rare per-window facts (a report fired, a private acknowledgement, a
+    wake-up) live in a :class:`_BatchPlan` record that exists only once a
+    window needs one and is keyed by that id, so retiring a window
+    (:meth:`retire`, one write) leaves its record stale without touching
+    it.  A window's rows are reused once it is retired, so the blocks are
+    sized by the longest open window, not by the run.
 
     Slots are append-only: a departed server's slot keeps its final values,
     and elastic joins extend the arrays.
     """
 
     _FIELDS = ("chain_tail", "handled", "overhead", "eligible")
-    _COLUMNS = ("plan_ack", "plan_handling")
+    _COLUMNS = ("plan_ack", "plan_handling", "plan_request")
     #: Rows per slot before the first growth (doubled as windows need).
     _INITIAL_WINDOW_ROWS = 64
+    #: Request-list length below which it is never trimmed.
+    _MIN_REQUESTS = 256
 
     def __init__(self, capacity: int = 0) -> None:
         capacity = max(int(capacity), 4)
@@ -123,9 +141,21 @@ class ServerStateArrays:
         cells = capacity * self.window_rows
         self.plan_ack = np.zeros(cells, dtype=np.float64)
         self.plan_handling = np.zeros(cells, dtype=np.float64)
+        self.plan_request = np.zeros(cells, dtype=np.int64)
         self.plan_base = np.arange(capacity, dtype=np.int64) * self.window_rows
         self.plan_end = self.plan_base.copy()
-        self.plan_requests: List[List[PushRequest]] = []
+        #: The requests the ``plan_request`` ids point at; id ``i`` is
+        #: ``requests[i - first_id]``.
+        self.requests: List[PushRequest] = []
+        self.first_id = 0
+        self._trim_at = self._MIN_REQUESTS
+        #: Deterministic work counters: window records created, agent
+        #: reports made by window commits (replays included) and window
+        #: wake-ups scheduled.  A record is made only for a report, a
+        #: wake-up or a private acknowledgement.
+        self.records_created = 0
+        self.reports = 0
+        self.wakes = 0
         # Upper bound on every window's length, kept without a reduction
         # per commit: it only grows until it reaches window_rows, and is
         # then recomputed exactly.
@@ -147,7 +177,6 @@ class ServerStateArrays:
                 extended[:capacity] = array
                 setattr(self, name, extended)
             self._resize_blocks(grown, self.window_rows)
-        self.plan_requests.append([])
         self._size = slot + 1
         return slot
 
@@ -174,21 +203,72 @@ class ServerStateArrays:
                 self._resize_blocks(len(self.plan_base), 2 * self.window_rows)
         self._longest += 1
 
-    def append_rows(self, slots, at, acks, handlings) -> None:
-        """Write one window entry per slot, at block position ``at``.
+    def retire(self, slots) -> None:
+        """Close the windows of ``slots`` (an index or an array of distinct ones).
+
+        Their rows become free and their records stale.  The fan-out retires
+        every window it is about to reopen with one call.
+        """
+        self.plan_end[slots] = self.plan_base[slots]
+
+    def window_id(self, slot: int) -> int:
+        """The request id of the open window's first row; -1 with no window."""
+        base = self.plan_base[slot]
+        if self.plan_end[slot] == base:
+            return -1
+        return int(self.plan_request[base])
+
+    def add_requests(self, requests: List[PushRequest], now: float) -> int:
+        """Give ``requests`` consecutive ids; returns the first one.
+
+        Trims the list first when it has doubled since the last trim, which
+        retires every window that ended before ``now``.
+        """
+        if len(self.requests) >= self._trim_at:
+            self.trim(now)
+        first = self.first_id + len(self.requests)
+        self.requests.extend(requests)
+        return first
+
+    def trim(self, now: float) -> None:
+        """Drop every request below the first row of the oldest open window.
+
+        Windows that ended before ``now`` are retired first, so a server
+        that receives no more commits does not hold the prefix alive.
+        """
+        size = self._size
+        base = self.plan_base[:size]
+        ended = (self.plan_end[:size] > base) & (self.chain_tail[:size] < now)
+        self.retire(np.flatnonzero(ended))
+        open_base = base[self.plan_end[:size] > base]
+        keep_from = (int(self.plan_request[open_base].min()) if len(open_base)
+                     else self.first_id + len(self.requests))
+        del self.requests[:keep_from - self.first_id]
+        self.first_id = keep_from
+        self._trim_at = max(2 * len(self.requests), self._MIN_REQUESTS)
+
+    def append_rows(self, slots, at, acks, handlings, request_ids) -> None:
+        """Write one window row per slot, at block position ``at``.
 
         The one commit routine of every coalesced window: the fan-out passes
         arrays (one scatter per column), scalar commits pass scalars.
-        ``at`` is the slot's ``plan_end``, read after :meth:`reserve`; the
-        caller appends the request to the slot's ``plan_requests`` list.
+        ``at`` is the slot's ``plan_end``, read after :meth:`reserve`.
         """
         self.plan_ack[at] = acks
         self.plan_handling[at] = handlings
+        self.plan_request[at] = request_ids
         self.plan_end[slots] = at + 1
 
     def window(self, slot: int) -> slice:
-        """Block positions of the entries in ``slot``'s open window."""
+        """Block positions of the rows in ``slot``'s open window."""
         return slice(int(self.plan_base[slot]), int(self.plan_end[slot]))
+
+    def window_requests(self, slot: int) -> List[PushRequest]:
+        """The requests of ``slot``'s open window, in row order."""
+        requests = self.requests
+        first_id = self.first_id
+        return [requests[i - first_id]
+                for i in self.plan_request[self.window(slot)].tolist()]
 
     def total_requests_handled(self) -> int:
         """Requests handled across every slot (vectorized)."""
@@ -196,12 +276,19 @@ class ServerStateArrays:
 
 
 class _BatchPlan:
-    """Bookkeeping for one committed coalesced window.
+    """The rare facts of one open window, created only once it needs them.
 
-    The entries themselves live in the job's :class:`ServerStateArrays`
-    blocks; the plan holds the pre-window snapshot of every observable the
-    commits touched, so the window can be rolled back and its delivered
-    prefix replayed deterministically.
+    Most windows never need one: the rows in :class:`ServerStateArrays`
+    are the whole window, and its rollback snapshot is derived from them.
+    Each row adds one handled request and one ``server_bpt`` point, and
+    each report flush one more point, so before the window the handled
+    counter stood ``rows`` lower and the series ``rows + flushes`` shorter.
+    A window gets a record at its first report (which snapshots the agent's
+    report state, the one thing rows cannot give back), its first private
+    acknowledgement, or its wake-up.  The snapshot can wait for the first
+    report because only this server's own commits change its agent's report
+    state, and no window is open across a relaunch.  The record is live
+    while ``window_id`` is its slot's :meth:`ServerStateArrays.window_id`.
 
     Logical events: per-request stepping spends k+1 events on a window of k
     requests (the pop that feeds the first request and k handling
@@ -213,11 +300,11 @@ class _BatchPlan:
     only k-1.
     """
 
-    __slots__ = ("private", "reported", "wake", "wake_id", "handled_before",
-                 "series_len_before", "agent_state", "flushes")
+    __slots__ = ("window_id", "private", "reported", "wake", "wake_id",
+                 "agent_state", "flushes")
 
-    def __init__(self, handled_before: int, series_len_before: int,
-                 agent_state: Tuple[List[float], int, int]) -> None:
+    def __init__(self, window_id: int) -> None:
+        self.window_id = window_id
         #: Rows whose acknowledgement is not a contribution to a shared
         #: latch, mapped to the heap id of their private acknowledgement
         #: event, or to None when nothing was published (the event had
@@ -233,9 +320,8 @@ class _BatchPlan:
         #: eager window only once requests queue behind it (_arm_wake).
         self.wake: Optional[Event] = None
         self.wake_id = -1
-        self.handled_before = handled_before
-        self.series_len_before = series_len_before
-        self.agent_state = agent_state
+        #: The agent's report state before the window's first report.
+        self.agent_state: Optional[Tuple[List[float], int, int]] = None
         #: Monitor flushes charged by this window's commits (rolled back as
         #: a delta, not a snapshot — other agents charge the shared ledger
         #: concurrently).
@@ -302,9 +388,9 @@ class ParameterServer:
         # Cached series handle: one append per handled request otherwise pays
         # a recorder key lookup each.
         self._bpt_series = metrics.series("server_bpt", tag=self.name)
-        # The coalesced window currently in flight (None while stepping
-        # request-by-request or idle).
-        self._plan: Optional[_BatchPlan] = None
+        # The record of the open window, if it needed one; stale once that
+        # window is retired (see _window_record).
+        self._record: Optional[_BatchPlan] = None
         # A mid-run contention swap invalidates the handling times of a
         # committed window (and the slot's vectorized-commit eligibility).
         node.add_contention_listener(self._on_contention_change)
@@ -375,7 +461,7 @@ class ParameterServer:
         queue = self.queue
         if queue.has_getters:
             self._set_accepting(False)
-            if self._live_plan() is not None:
+            if self._window_open():
                 queue.hold(request)
                 self._arm_wake()
                 return
@@ -422,7 +508,7 @@ class ParameterServer:
         acks = state.plan_ack[state.window(slot)].tolist()
         return list(self.queue) + [
             request for request, previous_ack
-            in zip(state.plan_requests[slot][1:], acks)
+            in zip(state.window_requests(slot)[1:], acks)
             if previous_ack > now]
 
     def _requeue_front(self, queued: List[PushRequest]) -> None:
@@ -552,7 +638,7 @@ class ParameterServer:
                     wake = self._commit_batch(current)
                     current = None
                     yield wake
-                    self._close_plan()
+                    self._state.retire(self._slot)
                     continue
                 fraction = float(delay_fraction_provider())
                 handling = node.server_time(
@@ -636,36 +722,36 @@ class ParameterServer:
                     self._recovery_handler(self)
 
     # -- coalesced windows ---------------------------------------------------------
-    def _open_plan(self, handled_before: Optional[int] = None) -> _BatchPlan:
-        """Open a fresh eager window for a commit at the current instant.
-
-        The window schedules no wake-up (see :meth:`_arm_wake` for when it
-        needs one) and is retired lazily (:meth:`_live_plan`).  The logical
-        event its end stands for is credited here, up front, as each commit
-        credits its own.
-        """
-        if handled_before is None:
-            handled_before = int(self._state.handled[self._slot])
-        plan = _BatchPlan(
-            handled_before=handled_before,
-            series_len_before=len(self._bpt_series),
-            agent_state=self.agent.snapshot_report_state())
-        self._plan = plan
-        self.env.coalesced_count += 1
-        return plan
-
-    def _live_plan(self) -> Optional[_BatchPlan]:
-        """The open window, or None after retiring one that has ended.
+    def _window_open(self) -> bool:
+        """Whether a window is open, after retiring one that has ended.
 
         A window ends strictly after its last acknowledgement: a request
         arriving on that very instant joins the window, as it would find the
-        stepping server still busy with its last request.
+        stepping server still busy with its last request.  An eager window
+        schedules no wake-up (see :meth:`_arm_wake` for when it needs one),
+        so this lazy check is what retires it.
         """
-        plan = self._plan
-        if plan is not None and self._state.chain_tail[self._slot] < self.env._now:
-            self._close_plan()
+        state = self._state
+        slot = self._slot
+        if state.plan_end[slot] == state.plan_base[slot]:
+            return False
+        if state.chain_tail[slot] < self.env._now:
+            state.retire(slot)
+            return False
+        return True
+
+    def _window_record(self, create: bool = False) -> Optional[_BatchPlan]:
+        """The open window's record; with ``create``, made if it has none."""
+        state = self._state
+        window_id = state.window_id(self._slot)
+        record = self._record
+        if record is not None and record.window_id == window_id:
+            return record
+        if not create:
             return None
-        return plan
+        record = self._record = _BatchPlan(window_id)
+        state.records_created += 1
+        return record
 
     def _arm_wake(self) -> None:
         """Schedule the eager window's wake-up at its last acknowledgement.
@@ -674,44 +760,50 @@ class ParameterServer:
         the wake-up feeds them to the parked server process (:meth:`_on_wake`).
         No eager commit can extend the window afterwards (holding a request
         stops the server accepting them), so the wake-up fires at the
-        window's end.  Its pop now stands for that end, so the credit
-        :meth:`_open_plan` gave is withdrawn.
+        window's end.  Its pop now stands for that end, so the credit given
+        when the window opened is withdrawn.
         """
-        plan = self._plan
-        if plan is None or plan.wake is not None:
+        state = self._state
+        slot = self._slot
+        if state.plan_end[slot] == state.plan_base[slot]:
+            return
+        record = self._window_record(create=True)
+        if record.wake is not None:
             return
         env = self.env
         wake = Event(env)
         wake.callbacks.append(self._on_wake)
-        plan.wake = wake
-        plan.wake_id = env.schedule_at(wake, float(self._state.chain_tail[self._slot]))
+        record.wake = wake
+        record.wake_id = env.schedule_at(wake, float(state.chain_tail[slot]))
+        state.wakes += 1
         env.coalesced_count -= 1
 
-    def _close_plan(self) -> None:
-        """Forget the open window; its rows become free for the next one."""
-        self._plan = None
-        state = self._state
-        state.plan_end[self._slot] = state.plan_base[self._slot]
-        state.plan_requests[self._slot].clear()
-
-    def _report(self, plan: _BatchPlan, row: int, handling: float, ack: float) -> None:
+    def _report(self, row: int, handling: float, ack: float) -> None:
         """The periodic agent report of the committed request at ``row``."""
-        plan.reported.add(row)
+        record = self._window_record(create=True)
         agent = self.agent
+        if record.agent_state is None:
+            record.agent_state = agent.snapshot_report_state()
+        record.reported.add(row)
         agent.report_server_request(handling, ack)
         if agent._iterations_since_report == 0:
-            plan.flushes += 1
+            record.flushes += 1
+        self._state.reports += 1
 
-    def _publish_ack(self, plan: _BatchPlan, row: int, done: Event, ack: float) -> None:
-        """Publish one committed acknowledgement at its future time ``ack``."""
-        if done.triggered:
-            plan.private[row] = None
-        elif type(done) is CountdownEvent:
-            if done.abandoned:
-                plan.private[row] = None
-            done.count_down_at(ack, ack)
-        else:
-            plan.private[row] = self.env.schedule_at(done, ack, ack)
+    def _publish_ack(self, row: int, done: Event, ack: float) -> None:
+        """Publish one committed acknowledgement at its future time ``ack``.
+
+        Only a contribution to a live shared latch needs no record.
+        """
+        event_id = None
+        if not done.triggered:
+            if type(done) is CountdownEvent:
+                done.count_down_at(ack, ack)
+                if not done.abandoned:
+                    return
+            else:
+                event_id = self.env.schedule_at(done, ack, ack)
+        self._window_record(create=True).private[row] = event_id
 
     def _commit_request(self, request: PushRequest) -> None:
         """Commit one request eagerly at submit time (server stays parked)."""
@@ -720,7 +812,6 @@ class ParameterServer:
         now = env._now
         state = self._state
         slot = self._slot
-        plan = self._live_plan()
         tail = float(state.chain_tail[slot])
         start = tail if tail > now else now
         contention = node.contention
@@ -734,14 +825,19 @@ class ParameterServer:
                 per_byte_cost=self.config.server_per_byte_cost_s,
                 delay_fraction=fraction)
         ack = start + handling
-        if plan is None:
-            plan = self._open_plan()
-        requests = state.plan_requests[slot]
-        row = len(requests)
+        request_id = state.add_requests([request], now)
         state.reserve()
-        state.append_rows(slot, slot * state.window_rows + row, ack, handling)
-        requests.append(request)
-        self._publish_ack(plan, row, request.done, ack)
+        base = int(state.plan_base[slot])
+        at = int(state.plan_end[slot])
+        if at == base or tail < now:
+            # No window, or one that ended: this row opens a new one (and
+            # so retires the old).  The logical event the new window's end
+            # stands for is credited up front, as each commit credits its own.
+            at = base
+            env.coalesced_count += 1
+        row = at - base
+        state.append_rows(slot, at, ack, handling, request_id)
+        self._publish_ack(row, request.done, ack)
         handled = int(state.handled[slot]) + 1
         state.handled[slot] = handled
         state.chain_tail[slot] = ack
@@ -749,7 +845,7 @@ class ParameterServer:
         stride_provider = self._report_stride_provider
         stride = (stride_provider() or 1) if stride_provider is not None else 1
         if handled % stride == 0:
-            self._report(plan, row, handling, ack)
+            self._report(row, handling, ack)
         env.coalesced_count += 1
 
     def _on_wake(self, wake: Event) -> None:
@@ -762,9 +858,9 @@ class ParameterServer:
         scheduled by a rollback that found its window fully delivered closes
         nothing and still feeds the backlog.
         """
-        plan = self._plan
-        if plan is not None and plan.wake is wake:
-            self._close_plan()
+        record = self._window_record()
+        if record is not None and record.wake is wake:
+            self._state.retire(self._slot)
         queue = self.queue
         if queue and queue.has_getters:
             # The get event this dispatch schedules exists only because the
@@ -789,7 +885,6 @@ class ParameterServer:
         """
         env = self.env
         node = self.node
-        agent = self.agent
         state = self._state
         slot = self._slot
         requests: List[PushRequest] = [first]
@@ -823,34 +918,32 @@ class ParameterServer:
                 t += handling
                 handlings.append(handling)
                 chain.append(t)
+        first_id = state.add_requests(requests, t0)
         # The wake event is scheduled before any acknowledgement so that at
         # the window's final instant the server resumes first, then the last
         # worker — the same callback order per-request stepping produces.
-        wake = Event(env)
+        record = self._record = _BatchPlan(first_id)
+        state.records_created += 1
+        wake = record.wake = Event(env)
+        record.wake_id = env.schedule_at(wake, chain[-1])
+        state.wakes += 1
         handled = int(state.handled[slot])
-        plan = _BatchPlan(
-            handled_before=handled,
-            series_len_before=len(self._bpt_series),
-            agent_state=agent.snapshot_report_state())
-        plan.wake = wake
-        plan.wake_id = env.schedule_at(wake, chain[-1])
         bpt_series = self._bpt_series
         stride_provider = self._report_stride_provider
         stride = (stride_provider() or 1) if stride_provider is not None else 1
-        state.plan_requests[slot].extend(requests)
         for row, (request, handling) in enumerate(zip(requests, handlings)):
             ack = chain[row + 1]
             state.reserve()
-            state.append_rows(slot, slot * state.window_rows + row, ack, handling)
-            self._publish_ack(plan, row, request.done, ack)
+            base = int(state.plan_base[slot])
+            state.append_rows(slot, base + row, ack, handling, first_id + row)
+            self._publish_ack(row, request.done, ack)
             handled += 1
             bpt_series.append(ack, handling)
             if handled % stride == 0:
-                self._report(plan, row, handling, ack)
+                self._report(row, handling, ack)
         state.handled[slot] = handled
         state.chain_tail[slot] = chain[-1]
         env.count_coalesced(k - 1)
-        self._plan = plan
         return wake
 
     def _rollback_plan(self, now: float, keep_in_flight: bool
@@ -868,35 +961,39 @@ class ParameterServer:
         Later entries never started and are returned for queue-front
         reinsertion.
 
-        Observables are rewound to the pre-window snapshot and the kept
-        prefix is replayed with its recorded decisions, so the series, the
-        handled counter, the agent buffer and the shared overhead ledger end
-        up exactly as per-request stepping would have left them at ``now``.
+        Observables are rewound to the pre-window state (derived from the
+        rows, plus the record's agent snapshot and flush count; see
+        :class:`_BatchPlan`) and the kept prefix is replayed with its
+        recorded decisions, so the series, the handled counter, the agent
+        buffer and the shared overhead ledger end up exactly as per-request
+        stepping would have left them at ``now``.
         """
-        plan = self._plan
-        if plan is None:
-            return None, []
         state = self._state
         slot = self._slot
+        window = state.window(slot)
+        count = window.stop - window.start
+        if count == 0:
+            return None, []
         if now >= state.chain_tail[slot]:
             # Fully delivered: nothing speculative left to unwind.  (A
             # scheduled wake-up stays and pops as a no-op close; an eager
             # window without one had its end credited when it opened.)
-            self._close_plan()
+            state.retire(slot)
             return None, []
         env = self.env
         agent = self.agent
-        window = state.window(slot)
-        count = window.stop - window.start
         acks = state.plan_ack[window].tolist()
         handlings = state.plan_handling[window].tolist()
-        requests = state.plan_requests[slot]
+        requests = state.window_requests(slot)
         # Acknowledgements grow along the chain: the first one past ``now``
         # is the in-flight entry.
         split = int(np.searchsorted(state.plan_ack[window], now, side="right"))
         first_rescinded = split + 1 if keep_in_flight else split
+        # A window without a record reported nothing and published only
+        # latch contributions: a blank record stands in for it.
+        record = self._window_record() or _BatchPlan(-1)
+        private = record.private
         # 1. Rescind the undelivered acknowledgements, newest first.
-        private = plan.private
         for row in range(count - 1, first_rescinded - 1, -1):
             if row in private:
                 done_id = private[row]
@@ -907,31 +1004,34 @@ class ParameterServer:
                     done._value = PENDING
             else:
                 requests[row].done.rescind(acks[row], acks[row])
-        # 2. Rewind every observable to the pre-window snapshot.
+        # 2. Rewind every observable to the pre-window state.
         bpt_series = self._bpt_series
-        bpt_series.truncate(plan.series_len_before)
-        agent.restore_report_state(plan.agent_state)
+        bpt_series.truncate(len(bpt_series) - count - record.flushes)
+        handled = int(state.handled[slot]) - count
+        if record.agent_state is not None:
+            agent.restore_report_state(record.agent_state)
         group = agent.group
-        group.report_overhead_s -= plan.flushes * group.config.agent_sync_overhead_s
-        plan.flushes = 0
-        reported_rows = plan.reported
-        plan.reported = set()
-        handled = plan.handled_before
+        group.report_overhead_s -= record.flushes * group.config.agent_sync_overhead_s
+        record.flushes = 0
+        reported_rows = record.reported
+        record.reported = set()
+        record.private = {row: done_id for row, done_id in private.items()
+                          if row <= split}
+        wake = record.wake
         # 3. Replay the delivered prefix with its recorded decisions.
         for row in range(split):
             handled += 1
             bpt_series.append(acks[row], handlings[row])
             if row in reported_rows:
-                self._report(plan, row, handlings[row], acks[row])
+                self._report(row, handlings[row], acks[row])
         # 4. Re-commit (or drop) the in-flight entry and move the wake-up.
         # Logical-event credits for the retained work: every kept entry plus
         # the window's end, minus what fed the window physically.  An eager
         # window without a wake-up was credited its end when it opened; when
         # the window closes here that credit goes with it.
         credits = split + 1 - count
-        wake = plan.wake
         if wake is not None:
-            env.discard_scheduled(plan.wake_id)
+            env.discard_scheduled(record.wake_id)
             wake._ok = None
             wake._value = PENDING
         elif not keep_in_flight:
@@ -941,24 +1041,18 @@ class ParameterServer:
             in_ack = acks[split]
             in_handling = handlings[split]
             if wake is not None:
-                plan.wake_id = env.schedule_at(wake, in_ack)
+                record.wake_id = env.schedule_at(wake, in_ack)
             handled += 1
             bpt_series.append(in_ack, in_handling)
             stride_provider = self._report_stride_provider
             stride = (stride_provider() or 1) if stride_provider is not None else 1
             if handled % stride == 0:
-                self._report(plan, split, in_handling, in_ack)
+                self._report(split, in_handling, in_ack)
             state.plan_end[slot] = window.start + split + 1
-            rescinded = requests[split + 1:]
-            del requests[split + 1:]
-            plan.private = {row: done_id for row, done_id in private.items()
-                            if row <= split}
             state.chain_tail[slot] = in_ack
             state.handled[slot] = handled
-            return None, rescinded
-        in_flight = requests[split]
-        rescinded = requests[split + 1:]
+            return None, requests[split + 1:]
         state.chain_tail[slot] = now
         state.handled[slot] = handled
-        self._close_plan()
-        return in_flight, rescinded
+        state.retire(slot)
+        return requests[split], requests[split + 1:]

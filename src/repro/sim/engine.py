@@ -459,10 +459,10 @@ class CountdownEvent(Event):
         # (when, value) per count_down, in call order.  Kept so a rescinded
         # contribution can be removed and the firing time recomputed.
         self._contributions: List = []
-        # A first count_down_many_at batch is kept as the caller's list of
-        # times (each contribution valued with its own time) until another
-        # contribution or a rescind needs the tuple form.
-        self._batch: Optional[List[float]] = None
+        # A first count_down_many_at batch is kept as the caller's sequence
+        # of times (each contribution valued with its own time) until
+        # another contribution or a rescind needs the tuple form.
+        self._batch = None
         self._fire_id: Optional[int] = None
 
     @property
@@ -501,6 +501,10 @@ class CountdownEvent(Event):
         """The contributions as ``(when, value)`` tuples, in call order."""
         batch = self._batch
         if batch is not None:
+            # Expanded as Python floats, so event times and values never
+            # become numpy scalars.
+            if type(batch) is not list:
+                batch = batch.tolist()
             self._contributions.extend(zip(batch, batch))
             self._batch = None
         return self._contributions
@@ -530,10 +534,11 @@ class CountdownEvent(Event):
         """Record a batch of completions, each valued with its own time.
 
         Vectorised fan-out entry point: a producer that just committed one
-        acknowledgement per slot calls this once with the list of all the
-        ack times instead of issuing ``len(whens)`` ``count_down_at`` calls.
-        The list is kept as is (the caller must not mutate it).  Returns
-        True when the batch armed the firing event.
+        acknowledgement per slot calls this once with all the ack times — a
+        list of floats or a float64 ``ndarray`` — instead of issuing
+        ``len(whens)`` ``count_down_at`` calls.  The sequence is kept as is
+        (the caller must not mutate it).  Returns True when the batch armed
+        the firing event.
         """
         if self._abandoned:
             return False
@@ -542,6 +547,8 @@ class CountdownEvent(Event):
             raise RuntimeError(f"{self!r} has already been fully counted down")
         self._remaining -= n
         if self._contributions or self._batch is not None:
+            if type(whens) is not list:
+                whens = whens.tolist()
             self._contribution_list().extend(zip(whens, whens))
         else:
             self._batch = whens
@@ -552,10 +559,12 @@ class CountdownEvent(Event):
 
     def _arm_fire(self) -> None:
         """Schedule the latch at the latest contribution (latest call wins ties)."""
-        if self._batch is not None:
+        batch = self._batch
+        if batch is not None:
             # Every batch contribution is valued with its own time, so equal
             # times carry equal values and the maximum decides alone.
-            fire_when = fire_value = max(self._batch)
+            fire_when = fire_value = (max(batch) if type(batch) is list
+                                      else float(batch.max()))
         else:
             contributions = self._contributions
             fire_when, fire_value = contributions[0]

@@ -59,7 +59,8 @@ def _final_server_state(job):
 def _has_open_window_past_now(job):
     state = job.server_state
     now = job.env.now
-    return any(server._plan is not None and state.chain_tail[server._slot] > now
+    return any(state.plan_end[server._slot] > state.plan_base[server._slot]
+               and state.chain_tail[server._slot] > now
                for server in job.servers)
 
 

@@ -44,6 +44,20 @@ def _server(coalesce):
     return env, server
 
 
+def _window(server):
+    """``(window id, record)`` of the server's open window, or None."""
+    window_id = server._state.window_id(server._slot)
+    if window_id < 0:
+        return None
+    return window_id, server._window_record()
+
+
+def _window_rows(server):
+    """Rows in the server's open window."""
+    window = server._state.window(server._slot)
+    return window.stop - window.start
+
+
 def _ack_after(server, start):
     """Acknowledgement time of a push whose handling starts at ``start``."""
     return start + (server.node.device.base_overhead
@@ -109,7 +123,7 @@ def test_push_on_the_last_acknowledgement_joins_the_window():
         yield _at(env, _ack_after(server, env.now))
         dones.append(server.submit("w1", NBYTES))
         if env.coalesce:
-            rows.append(len(server._state.plan_requests[server._slot]))
+            rows.append(_window_rows(server))
 
     _, _, views = _both_modes(script, [3.0])
     # Stepping finds the server still on its last request at that instant
@@ -124,20 +138,20 @@ def test_ended_window_is_retired_by_the_next_commit():
     def script(env, server, dones):
         yield env.timeout(FIRST_PUSH_AT)
         dones.append(server.submit("w0", NBYTES))
-        plans.append(server._plan)
+        plans.append(_window(server))
         yield env.timeout(1.0)
         if env.coalesce:
             # Ended at 1.5 and still open: nothing has retired it yet.
-            assert server._plan is plans[0]
+            assert _window(server) == plans[0]
         dones.append(server.submit("w1", NBYTES))
-        plans.append(server._plan)
+        plans.append(_window(server))
 
     _, server, views = _both_modes(script, [1.75, 3.0])
     first, second = plans[:2]
-    assert first is not second and server._plan is second
+    assert first[0] != second[0] and _window(server) == second
     # Neither window scheduled a wake-up, and the logical count matched
     # stepping at 1.75 s, between the first window's end and its retirement.
-    assert first.wake is None and second.wake is None
+    assert first[1].wake is None and second[1].wake is None
 
 
 def test_request_held_behind_a_live_window_reaches_the_server_at_its_end():
@@ -153,7 +167,7 @@ def test_request_held_behind_a_live_window_reaches_the_server_at_its_end():
     assert views[0]["pending"] == 1
     # Handled from the window's last acknowledgement on, not on arrival.
     assert views[-1]["acked"] == [1.5, 2.0]
-    assert server._plan is None
+    assert _window(server) is None
 
 
 def test_finalize_closes_an_ended_window_that_was_never_retired():
@@ -164,10 +178,32 @@ def test_finalize_closes_an_ended_window_that_was_never_retired():
     results = []
     for coalesce in (True, False):
         env, server, views = _run(coalesce, script, [2.0])
-        assert (server._plan is not None) == coalesce
+        assert (_window(server) is not None) == coalesce
         server.finalize_run()
-        assert server._plan is None
+        assert _window(server) is None
         results.append((views, _observe(env, server, []), server.requests_handled,
                         len(server.queue)))
     assert results[0] == results[1]
     assert results[0][2] == 1
+
+
+def test_rollback_restores_the_agent_to_before_the_first_report():
+    """Every commit reports here (no stride provider): the window's record
+    snapshots the agent at its first report, not at a later one."""
+
+    def script(env, server, dones):
+        yield env.timeout(FIRST_PUSH_AT)
+        for worker in ("w0", "w1", "w2"):
+            dones.append(server.submit(worker, NBYTES))
+        # The third request is in flight (acks at 1.5, 2.0 and 2.5).
+        yield env.timeout(1.2)
+        server.on_cohort_change()
+
+    results = []
+    for coalesce in (True, False):
+        env, server, views = _run(coalesce, script, [3.0])
+        agent = server.agent
+        results.append((views, list(agent._bpt_buffer), agent._iterations_since_report,
+                        agent.group.report_overhead_s, server.requests_handled))
+    assert results[0] == results[1]
+    assert len(results[0][1]) == 3

@@ -137,6 +137,33 @@ def test_latch_batch_contributions_fire_at_the_latest_and_rescind():
     assert fired == [(4.0, 4.0)]
 
 
+@pytest.mark.parametrize("rescind", [False, True], ids=["armed", "rescinded"])
+def test_latch_array_batch_fires_like_a_list_batch(rescind):
+    outcomes = []
+    for whens in ([2.0, 5.0, 3.0, 1.0], np.array([2.0, 5.0, 3.0, 1.0])):
+        env = Environment()
+        latch = CountdownEvent(env, 4, fire_delay=0.25)
+        latch.count_down_many_at(whens[:3])
+        latch.count_down_many_at(whens[3:])
+        fired = []
+        latch.callbacks.append(lambda event: fired.append((env.now, event.value)))
+        # A latch armed by one batch alone takes its maximum directly.
+        single = CountdownEvent(env, 3)
+        single.count_down_many_at(whens[:3])
+        single.callbacks.append(lambda event: fired.append((env.now, event.value)))
+        if rescind:
+            latch.rescind(5.0, 5.0)
+            assert latch.remaining == 1 and not latch.triggered
+            latch.count_down_many_at(whens[:1])
+        env.run()
+        # The latest contribution decides, and it came with the first batch.
+        assert [type(value) for _, value in fired] == [float, float]
+        outcomes.append((fired, env.coalesced_count))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == ([(3.25, 3.0), (5.0, 5.0)] if rescind
+                              else [(5.0, 5.0), (5.25, 5.0)])
+
+
 def test_store_public_api_for_held_items():
     env = Environment()
     store = env.store()
